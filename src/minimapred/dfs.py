@@ -16,6 +16,7 @@ import json
 import hashlib
 import os
 import threading
+import uuid
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
@@ -224,7 +225,7 @@ class DiskStore:
         return os.path.join(self.root, f"node{node}")
 
     def _atomic_write(self, path: str, data: bytes) -> None:
-        tmp = path + f".tmp{os.getpid()}"
+        tmp = f"{path}.tmp{uuid.uuid4().hex}"  # unique per writer, not per process
         with open(tmp, "wb") as f:
             f.write(data)
         os.replace(tmp, path)
@@ -295,7 +296,7 @@ class DiskStore:
     def open_local_write(self, node: int, name: str):
         path = self._local_path(node, name)
         os.makedirs(os.path.dirname(path), exist_ok=True)
-        tmp = path + f".tmp{os.getpid()}"
+        tmp = f"{path}.tmp{uuid.uuid4().hex}"
         f = open(tmp, "wb")
         orig_close = f.close
 

@@ -1,17 +1,23 @@
 """Worker-side task execution: map with partition/sort/combine, the
 merge-sort shuffle, grouping, and reduce.
 
-Intermediate data is stored as node-local "runs": one key-sorted,
-length-prefixed binary file per (map task, partition). The shuffle is a
-k-way merge of those runs; ties on equal keys break by map task index and
-then emission order, which makes reducer input fully deterministic.
+Intermediate data is stored as node-local "runs": one key-sorted binary
+file per (map task, partition) made of key groups. A group record is a
+``<II`` header (key length, value count), the key, the value lengths as
+little-endian u32, then the values; adjacent records may repeat a key. The
+map side buffers values per key, sorts the keys and writes whole groups,
+spilling at ``spill_pairs`` buffered pairs (combiner jobs too, applying the
+combiner once per key at each write). The shuffle is a k-way merge of
+groups; ties on equal keys break by map task index and then emission
+order, which makes reducer input fully deterministic.
 """
 
 from __future__ import annotations
 
 import heapq
-import itertools
 import struct
+import sys
+from array import array
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator
 
@@ -20,20 +26,26 @@ from .errors import NotFound, ShuffleSourceLost, SkipRecord
 from .hashing import fnv1a64
 
 Pair = tuple[bytes, bytes]
+Group = tuple[bytes, list[bytes]]
 
-_LEN = struct.Struct("<II")
+_HEAD = struct.Struct("<II")
+_SWAP = sys.byteorder == "big"  # value lengths are stored little-endian
 
 
-def write_run(sink, pairs: Iterable[Pair]) -> int:
-    """Serialize pairs to a run file; returns the pair count."""
-    pack = _LEN.pack
+def write_run(sink, groups: Iterable[Group]) -> int:
+    """Serialize (key, values) groups to a run file; returns the pair count."""
+    pack = _HEAD.pack
     buf = bytearray()
     count = 0
-    for k, v in pairs:
-        buf += pack(len(k), len(v))
+    for k, vs in groups:
+        lens = array("I", map(len, vs))
+        if _SWAP:
+            lens.byteswap()
+        buf += pack(len(k), len(vs))
         buf += k
-        buf += v
-        count += 1
+        buf += lens
+        buf += b"".join(vs)
+        count += len(vs)
         if len(buf) >= (1 << 20):
             sink.write(buf)
             del buf[:]
@@ -42,30 +54,43 @@ def write_run(sink, pairs: Iterable[Pair]) -> int:
     return count
 
 
-def iter_run(f, buffer_size: int = 1 << 20) -> Iterator[Pair]:
-    """Stream (key, value) pairs back out of a run file."""
-    unpack_from = _LEN.unpack_from
+def iter_run(f, buffer_size: int = 1 << 20) -> Iterator[Group]:
+    """Stream (key, values) groups back out of a run file, holding at most
+    one group plus ``buffer_size`` bytes in memory."""
+    unpack_from = _HEAD.unpack_from
     buf = b""
     pos = 0
-    while True:
-        while len(buf) - pos < 8:
-            chunk = f.read(buffer_size)
-            if not chunk:
-                if len(buf) - pos == 0:
-                    return
-                raise ValueError("truncated run file")
-            buf = buf[pos:] + chunk
-            pos = 0
-        klen, vlen = unpack_from(buf, pos)
-        need = 8 + klen + vlen
+
+    def fill(need: int) -> None:
+        nonlocal buf, pos
         while len(buf) - pos < need:
-            chunk = f.read(buffer_size)
+            chunk = f.read(max(buffer_size, need - len(buf) + pos))
             if not chunk:
                 raise ValueError("truncated run file")
             buf = buf[pos:] + chunk
             pos = 0
-        yield buf[pos + 8 : pos + 8 + klen], buf[pos + 8 + klen : pos + need]
-        pos += need
+
+    while True:
+        if pos == len(buf):
+            buf, pos = f.read(buffer_size), 0
+            if not buf:
+                return
+        fill(8)
+        klen, n = unpack_from(buf, pos)
+        fill(8 + klen + 4 * n)
+        at = pos + 8 + klen
+        lens = array("I", buf[at : at + 4 * n])
+        if _SWAP:
+            lens.byteswap()
+        fill(8 + klen + 4 * n + sum(lens))
+        key = buf[pos + 8 : pos + 8 + klen]
+        at = pos + 8 + klen + 4 * n
+        values = []
+        for ln in lens:
+            values.append(buf[at : at + ln])
+            at += ln
+        pos = at
+        yield key, values
 
 
 def run_name(job_id: str, task_id: str, attempt: int, partition: int) -> str:
@@ -91,72 +116,43 @@ def run_map_task(
     """Apply the mapper to every record of the split and leave one
     key-sorted run per partition on the executing node's local store.
 
+    Values are buffered per key in emission order, and keys are assigned
+    to partitions when the buffer is written: at ``spill_pairs`` buffered
+    pairs as one sorted spill run per partition, so memory stays
+    O(spill_pairs), and at the end. The combiner, if any, is applied once
+    per key at each write.
     Records that the mapper rejects with SkipRecord are counted, not fatal.
     Returns (per-partition (node, run name) locations, skipped records).
     """
     store = cluster.store
     part_cache: dict[bytes, int] = {}
     skipped = 0
-
-    if combiner is not None:
-        # Pre-aggregation: group values per (partition, key) in emission
-        # order, sort keys, apply the combiner once per group. Produces the
-        # same bytes as sorting raw pairs first, since a stable sort also
-        # leaves each key's values in emission order.
-        groups: list[dict[bytes, list[bytes]]] = [{} for _ in range(num_reducers)]
-        for offset, line in cluster.read_split(split):
-            try:
-                pairs = mapper(offset, line)
-            except SkipRecord:
-                skipped += 1
-                continue
-            for kv in pairs:
-                k = kv[0]
-                p = part_cache.get(k)
-                if p is None:
-                    p = part_cache[k] = fnv1a64(k) % num_reducers
-                d = groups[p]
-                vals = d.get(k)
-                if vals is None:
-                    d[k] = [kv[1]]
-                else:
-                    vals.append(kv[1])
-        locations = []
-        for p in range(num_reducers):
-            name = run_name(job_id, task_id, attempt, p)
-            d = groups[p]
-            sink = store.open_local_write(node, name)
-            try:
-                write_run(
-                    sink,
-                    (out for k in sorted(d) for out in combiner(k, d[k])),
-                )
-            finally:
-                sink.close()
-            locations.append((node, name))
-        return locations, skipped
-
-    # No combiner: buffer raw pairs per partition, stable-sort by key, and
-    # spill to bounded-size segment files so memory stays O(spill_pairs).
-    buffers: list[list[Pair]] = [[] for _ in range(num_reducers)]
+    buffer: dict[bytes, list[bytes]] = {}  # key -> values in emission order
     spills: list[list[str]] = [[] for _ in range(num_reducers)]
     buffered = 0
 
-    def spill_all():
-        nonlocal buffered
-        for p in range(num_reducers):
-            if not buffers[p]:
-                continue
-            buffers[p].sort(key=itemgetter(0))
-            name = f"{run_name(job_id, task_id, attempt, p)}.spill{len(spills[p])}"
-            sink = store.open_local_write(node, name)
-            try:
-                write_run(sink, buffers[p])
-            finally:
-                sink.close()
-            spills[p].append(name)
-            buffers[p] = []
-        buffered = 0
+    def drain() -> list[Iterable[Group]]:
+        """Each partition's buffered groups in key order, combined if a
+        combiner is set, and falsy if it has none; the buffer restarts."""
+        nonlocal buffer
+        d, buffer = buffer, {}
+        keys: list[list[bytes]] = [[] for _ in range(num_reducers)]
+        for k in sorted(d):
+            p = part_cache.get(k)
+            if p is None:
+                p = part_cache[k] = fnv1a64(k) % num_reducers
+            keys[p].append(k)
+        if combiner is None:
+            return [((k, d[k]) for k in ks) if ks else () for ks in keys]
+        return [((ck, [cv]) for k in ks for ck, cv in combiner(k, d[k])) if ks else ()
+                for ks in keys]
+
+    def write(name: str, run: Iterable[Group]) -> None:
+        sink = store.open_local_write(node, name)
+        try:
+            write_run(sink, run)
+        finally:
+            sink.close()
 
     for offset, line in cluster.read_split(split):
         try:
@@ -164,35 +160,32 @@ def run_map_task(
         except SkipRecord:
             skipped += 1
             continue
-        for kv in pairs:
-            k = kv[0]
-            p = part_cache.get(k)
-            if p is None:
-                p = part_cache[k] = fnv1a64(k) % num_reducers
-            buffers[p].append(kv)
+        for k, v in pairs:
+            vals = buffer.get(k)
+            if vals is None:
+                buffer[k] = [v]
+            else:
+                vals.append(v)
             buffered += 1
         if buffered >= spill_pairs:
-            spill_all()
+            for p, run in enumerate(drain()):
+                if run:
+                    name = f"{run_name(job_id, task_id, attempt, p)}.spill{len(spills[p])}"
+                    write(name, run)
+                    spills[p].append(name)
+            buffered = 0
 
     locations = []
-    for p in range(num_reducers):
-        buffers[p].sort(key=itemgetter(0))
+    for p, run in enumerate(drain()):
         name = run_name(job_id, task_id, attempt, p)
-        sink = store.open_local_write(node, name)
+        files = [store.open_local_read(node, s) for s in spills[p]]
         try:
-            if spills[p]:
-                files = [store.open_local_read(node, s) for s in spills[p]]
-                try:
-                    streams = [iter_run(f) for f in files] + [iter(buffers[p])]
-                    write_run(sink, heapq.merge(*streams, key=itemgetter(0)))
-                finally:
-                    for f in files:
-                        f.close()
-            else:
-                write_run(sink, buffers[p])
+            # spill order is emission order, and merge keeps it on ties
+            streams = [iter_run(f) for f in files] + [run]
+            write(name, heapq.merge(*streams, key=itemgetter(0)))
         finally:
-            sink.close()
-        buffers[p] = []
+            for f in files:
+                f.close()
         for s in spills[p]:
             store.delete_local(node, s)
         locations.append((node, name))
@@ -207,9 +200,9 @@ def shuffle_fetch(
     cluster: Cluster,
     partition_index: int,
     sources: list[tuple[int, str, int, str]],
-) -> Iterator[Pair]:
+) -> Iterator[Group]:
     """Merge the per-map-task sorted runs of one partition into a single
-    key-sorted stream.
+    key-sorted stream of groups.
 
     ``sources`` is (map index, map task id, node, run name), ordered by map
     index; equal keys therefore come out in (map task index, emission order).
@@ -241,15 +234,22 @@ def shuffle_fetch(
     return merged()
 
 
-def group_by_key(stream: Iterable[Pair]) -> Iterator[tuple[bytes, list[bytes]]]:
-    """Group a key-sorted stream into (key, values) with values in stream
-    order. Only one group is materialized at a time."""
-    prev = None
-    for key, grp in itertools.groupby(stream, key=itemgetter(0)):
-        if prev is not None and key <= prev:
-            raise AssertionError("group_by_key fed an unsorted stream")
-        prev = key
-        yield key, [v for _, v in grp]
+def group_by_key(groups: Iterable[Group]) -> Iterator[Group]:
+    """Join adjacent groups of a key-sorted stream into one (key, values)
+    per key, values in stream order. Only one key is materialized at a
+    time."""
+    key = values = None
+    for k, vs in groups:
+        if values is not None:
+            if k == key:
+                values += vs
+                continue
+            if k < key:
+                raise AssertionError("group_by_key fed an unsorted stream")
+            yield key, values
+        key, values = k, list(vs)
+    if values is not None:
+        yield key, values
 
 
 def run_reduce_task(
@@ -274,7 +274,7 @@ def run_reduce_task(
     return part, captured
 
 
-def _capturing(stream: Iterable[Pair], into: list[Pair]) -> Iterator[Pair]:
-    for pair in stream:
-        into.append(pair)
-        yield pair
+def _capturing(stream: Iterable[Group], into: list[Pair]) -> Iterator[Group]:
+    for key, values in stream:
+        into.extend((key, v) for v in values)
+        yield key, values

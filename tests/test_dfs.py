@@ -286,3 +286,18 @@ def test_disk_dead_marker_visible_to_new_handles(tmp_path):
     b = Cluster.open_disk(root)  # fresh handle, e.g. another process
     assert b.is_node_dead(0)
     assert b.get_file("f") == b"data"  # replica on node 1 still serves
+
+
+def test_disk_local_writers_of_one_name_do_not_share_a_temp_file(tmp_path):
+    store = Cluster.open_disk(str(tmp_path / "s"),
+                              ClusterConfig(num_nodes=2, chunk_size=32,
+                                            replication=2, seed=5)).store
+    first = store.open_local_write(0, "runs/j/map-0.0.0")
+    second = store.open_local_write(0, "runs/j/map-0.0.0")
+    first.write(b"first attempt")
+    second.write(b"second attempt")
+    first.close()
+    second.close()
+    with store.open_local_read(0, "runs/j/map-0.0.0") as f:
+        assert f.read() in (b"first attempt", b"second attempt")
+    assert os.listdir(tmp_path / "s" / "node0" / "local" / "runs" / "j") == ["map-0.0.0"]

@@ -1,5 +1,7 @@
 """Engine core: partitioning, scheduling, map/shuffle/reduce, job runs."""
 
+import io
+import itertools
 import random
 
 import pytest
@@ -125,13 +127,53 @@ def test_plan_map_tasks_one_per_split():
 # run files and map tasks
 
 
+RUN_GROUPS = [
+    (b"", [b""]),
+    (b"k1", [b"v1", b"", b"v3"]),
+    (b"key", [b"x" * 1000]),
+    (b"key", [b"y", b""]),  # adjacent records may repeat a key
+]
+
+
 def test_run_file_roundtrip(small_cluster):
-    pairs = [(b"k1", b"v1"), (b"", b""), (b"key", b"x" * 1000)]
     sink = small_cluster.store.open_local_write(0, "runs/t/x")
-    write_run(sink, pairs)
+    assert write_run(sink, RUN_GROUPS) == 7
     sink.close()
     with small_cluster.store.open_local_read(0, "runs/t/x") as f:
-        assert list(iter_run(f, buffer_size=7)) == pairs
+        assert list(iter_run(f, buffer_size=7)) == RUN_GROUPS
+
+
+def test_run_file_empty_key_and_values_roundtrip():
+    groups = [(b"", [b"", b""]), (b"", [b""]), (b"k", [b""])]
+    buf = io.BytesIO()
+    assert write_run(buf, groups) == 4
+    assert list(iter_run(io.BytesIO(buf.getvalue()), buffer_size=3)) == groups
+    assert list(iter_run(io.BytesIO(b""))) == []
+
+
+def test_run_file_cut_anywhere_inside_a_group_raises():
+    buf = io.BytesIO()
+    write_run(buf, RUN_GROUPS)
+    data = buf.getvalue()
+    # record boundaries: 8-byte header, key, 4 bytes per value, values
+    ends, at = [0], 0
+    for k, vs in RUN_GROUPS:
+        at += 8 + len(k) + 4 * len(vs) + sum(map(len, vs))
+        ends.append(at)
+    assert ends[-1] == len(data)
+    regions = set()
+    for cut in range(len(data)):
+        if cut in ends:
+            continue
+        start = max(e for e in ends if e < cut)
+        k, vs = RUN_GROUPS[ends.index(start)]
+        into = cut - start
+        regions.add("header" if into < 8 else "key" if into < 8 + len(k)
+                    else "lengths" if into < 8 + len(k) + 4 * len(vs) else "values")
+        for buffer_size in (7, 1 << 20):
+            with pytest.raises(ValueError, match="truncated run file"):
+                list(iter_run(io.BytesIO(data[:cut]), buffer_size=buffer_size))
+    assert regions == {"header", "key", "lengths", "values"}
 
 
 def _single_line_cluster(line: bytes):
@@ -142,8 +184,9 @@ def _single_line_cluster(line: bytes):
 
 
 def read_run_pairs(cluster, node, name):
+    """A run's groups expanded back to (key, value) pairs."""
     with cluster.store.open_local_read(node, name) as f:
-        return list(iter_run(f))
+        return [(k, v) for k, vs in iter_run(f) for v in vs]
 
 
 def test_map_task_sorts_within_partition():
@@ -205,32 +248,97 @@ def test_stable_sort_keeps_emission_order_for_equal_keys():
     assert values == [b"0", b"1", b"2", b"3", b"4"]
 
 
+def _emissions_map(offset, line):
+    """Each token ``key=value`` of a line is one emitted pair."""
+    return [tuple(tok.split(b"=", 1)) for tok in line.split()]
+
+
+def _join_values(key, values):
+    # order-sensitive, and associative over non-empty value lists
+    return [(key, b",".join(values))]
+
+
+register("emissions.map", _emissions_map)
+register("emissions.join", _join_values, combiner_safe=True)
+
+_records = st.lists(
+    st.lists(st.tuples(st.sampled_from([b"", b"a", b"b", b"c"]),
+                       st.sampled_from([b"", b"1", b"xy"])), max_size=6),
+    min_size=1, max_size=30,  # an empty file has no split
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(records=_records,
+       spill_pairs=st.one_of(st.integers(1, 20), st.integers(1, 10**9)),
+       reducers=st.integers(1, 3), combine=st.booleans())
+def test_map_task_runs_and_parts_hold_under_spills(records, spill_pairs, reducers, combine):
+    data = b"".join(b" ".join(k + b"=" + v for k, v in r) + b"\n" for r in records)
+    emitted = [kv for r in records for kv in r]
+    values: dict[bytes, list[bytes]] = {}  # key -> values in emission order
+    for k, v in emitted:
+        values.setdefault(k, []).append(v)
+    keys = [[k for k in sorted(values) if fnv1a64(k) % reducers == p] for p in range(reducers)]
+
+    c, split = _single_line_cluster(data)
+    written = []
+    open_write = c.store.open_local_write
+    c.store.open_local_write = lambda node, name: written.append(name) or open_write(node, name)
+    locations, _ = run_map_task(c, "j", "map-0", 0, 0, split, _emissions_map,
+                                _join_values if combine else None, reducers,
+                                spill_pairs=spill_pairs)
+    buffered = itertools.accumulate(len(r) for r in records)
+    assert any(".spill" in n for n in written) == any(n >= spill_pairs for n in buffered)
+    for (node, name), part_keys in zip(locations, keys):
+        if not combine:
+            assert read_run_pairs(c, node, name) == sorted(
+                (kv for kv in emitted if kv[0] in part_keys), key=lambda kv: kv[0])
+        with c.store.open_local_read(node, name) as f:
+            joined = [(k, b",".join(vs)) for k, vs in group_by_key(iter_run(f))]
+        assert joined == [(k, b",".join(values[k])) for k in part_keys]
+
+    def job_parts(spill):
+        cluster = Cluster(ClusterConfig(num_nodes=3, chunk_size=64, replication=1, seed=1))
+        cluster.put_file("in", data)
+        spec = JobSpec(job_id="emit", input_path="in", output_path="out",
+                       mapper_id="emissions.map", reducer_id="emissions.join",
+                       combiner_id="emissions.join" if combine else None,
+                       num_reducers=reducers)
+        report = submit_job(cluster, spec, RunOptions(executor="serial", spill_pairs=spill))
+        return [cluster.get_file(part) for part in report.parts]
+
+    expected = [b"".join(k + b"\t" + b",".join(values[k]) + b"\n" for k in part_keys)
+                for part_keys in keys]
+    assert job_parts(spill_pairs) == job_parts(10**9) == expected
+
+
 # ---------------------------------------------------------------------------
 # shuffle and grouping
 
 
-def _put_run(cluster, node, name, pairs):
+def _put_run(cluster, node, name, groups):
     sink = cluster.store.open_local_write(node, name)
-    write_run(sink, pairs)
+    write_run(sink, groups)
     sink.close()
 
 
 def test_shuffle_merges_sorted_runs(small_cluster):
     c = small_cluster
-    _put_run(c, 0, "runs/j/map-0.0.0", [(b"a", b"1"), (b"c", b"1")])
-    _put_run(c, 1, "runs/j/map-1.0.0", [(b"b", b"1")])
+    _put_run(c, 0, "runs/j/map-0.0.0", [(b"a", [b"1"]), (b"c", [b"1", b"2"])])
+    _put_run(c, 1, "runs/j/map-1.0.0", [(b"b", [b"1"])])
     sources = [(0, "map-0", 0, "runs/j/map-0.0.0"), (1, "map-1", 1, "runs/j/map-1.0.0")]
     assert list(shuffle_fetch(c, 0, sources)) == [
-        (b"a", b"1"), (b"b", b"1"), (b"c", b"1")]
+        (b"a", [b"1"]), (b"b", [b"1"]), (b"c", [b"1", b"2"])]
 
 
 def test_shuffle_ties_break_by_map_index(small_cluster):
     c = small_cluster
-    _put_run(c, 0, "r0", [(b"k", b"from-map0")])
-    _put_run(c, 1, "r1", [(b"k", b"from-map1")])
+    _put_run(c, 0, "r0", [(b"k", [b"from-map0"]), (b"k", [b"map0-spill1"])])
+    _put_run(c, 1, "r1", [(b"k", [b"from-map1"])])
     # source list order must not matter, only the map index
     sources = [(1, "map-1", 1, "r1"), (0, "map-0", 0, "r0")]
-    assert [v for _, v in shuffle_fetch(c, 0, sources)] == [b"from-map0", b"from-map1"]
+    assert [vs for _, vs in shuffle_fetch(c, 0, sources)] == [
+        [b"from-map0"], [b"map0-spill1"], [b"from-map1"]]
 
 
 def test_shuffle_multiset_preserved(small_cluster):
@@ -245,29 +353,41 @@ def test_shuffle_multiset_preserved(small_cluster):
             key=lambda kv: kv[0],
         )
         emitted.extend(pairs)
-        _put_run(c, i % 4, f"r{i}", pairs)
+        # one group per pair, so adjacent records repeat keys
+        _put_run(c, i % 4, f"r{i}", [(k, [v]) for k, v in pairs])
         sources.append((i, f"map-{i}", i % 4, f"r{i}"))
-    merged = list(shuffle_fetch(c, 0, sources))
+    merged = [(k, v) for k, vs in shuffle_fetch(c, 0, sources) for v in vs]
     assert sorted(merged) == sorted(emitted)
     assert [k for k, _ in merged] == sorted(k for k, _ in emitted)
 
 
 def test_group_by_key_examples():
-    stream = [(b"a", b"1"), (b"a", b"2"), (b"b", b"3")]
+    stream = [(b"a", [b"1", b"2"]), (b"b", [b"3"])]
     assert list(group_by_key(stream)) == [(b"a", [b"1", b"2"]), (b"b", [b"3"])]
     assert list(group_by_key([])) == []
-    singles = [(bytes([k]), b"v") for k in range(97, 105)]
+    singles = [(bytes([k]), [b"v"]) for k in range(97, 105)]
     assert [len(vs) for _, vs in group_by_key(singles)] == [1] * 8
+
+
+def test_group_by_key_joins_adjacent_equal_keys_in_stream_order():
+    first = [b"1", b"2"]
+    stream = [(b"", [b""]), (b"", [b"x"]), (b"a", first), (b"a", []),
+              (b"a", [b"3"]), (b"b", [b"4"]), (b"b", [b"5", b"6"])]
+    assert list(group_by_key(stream)) == [
+        (b"", [b"", b"x"]), (b"a", [b"1", b"2", b"3"]), (b"b", [b"4", b"5", b"6"])]
+    assert first == [b"1", b"2"]  # the caller's lists are not extended
 
 
 def test_group_by_key_rejects_unsorted_stream():
     with pytest.raises(AssertionError):
-        list(group_by_key([(b"b", b"1"), (b"a", b"2")]))
+        list(group_by_key([(b"b", [b"1"]), (b"a", [b"2"])]))
+    with pytest.raises(AssertionError):
+        list(group_by_key([(b"a", [b"1"]), (b"b", [b"2"]), (b"a", [b"3"])]))
 
 
 def test_reduce_task_writes_part(small_cluster):
     c = small_cluster
-    _put_run(c, 0, "r", [(b"a", b"1"), (b"a", b"2")])
+    _put_run(c, 0, "r", [(b"a", [b"1"]), (b"a", [b"2"])])
     part, _ = run_reduce_task(c, 0, wordcount_reduce, [(0, "map-0", 0, "r")], "out")
     assert part == "out/part-r-00000"
     assert c.get_file(part) == b"a\t3\n"

@@ -170,8 +170,8 @@ def test_dead_node_runs_unreadable_then_resolved():
     [split] = c.make_splits(meta)
     locations, _ = run_map_task(c, "j", "map-3", 0, 0, split, wordcount_map, None, 1)
     sources = [(3, "map-3", *locations[0])]
-    assert [k for k, _ in shuffle_fetch(c, 0, sources)] == [
-        b"alpha", b"alpha", b"beta"]
+    assert list(shuffle_fetch(c, 0, sources)) == [
+        (b"alpha", [b"1", b"1"]), (b"beta", [b"1"])]
 
     c.mark_node_dead(0)
     with pytest.raises(ShuffleSourceLost) as exc:
@@ -181,8 +181,8 @@ def test_dead_node_runs_unreadable_then_resolved():
     # re-execution on a live node resolves the loss exactly once
     relocations, _ = run_map_task(c, "j", "map-3", 1, 1, split, wordcount_map, None, 1)
     resolved = [(3, "map-3", *relocations[0])]
-    assert [k for k, _ in shuffle_fetch(c, 0, resolved)] == [
-        b"alpha", b"alpha", b"beta"]
+    assert list(shuffle_fetch(c, 0, resolved)) == [
+        (b"alpha", [b"1", b"1"]), (b"beta", [b"1"])]
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,76 @@
+"""The benchmark's tracer still fits the engine.
+
+``perfbench/tracer.py`` wraps engine entry points by name (``write_run``,
+``iter_run``, ``shuffle_fetch``, ``group_by_key``, store and cluster
+methods, ...). A refactor that renames one, or stops calling it through
+its module, would make the benchmark refuse to run or read 0 for a layer;
+this test makes that fail here, in the ordinary test suite.
+"""
+
+import importlib.util
+import os
+import random
+
+import minimapred.dfs as dfs
+import minimapred.executors as executors
+import minimapred.fault as fault
+import minimapred.master as master
+import minimapred.tasks as tasks
+from minimapred import Cluster, ClusterConfig, JobSpec, RunOptions, run_job
+
+TRACER_PY = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                         "perfbench", "tracer.py")
+
+
+def _load_tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER_PY)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _entry_points():
+    owners = (dfs, executors, fault, master, tasks, dfs.Cluster, dfs.DiskStore,
+              dfs.MemoryStore, master.Master)
+    return {(owner, name): value for owner in owners
+            for name, value in vars(owner).items() if callable(value)}
+
+
+def _spilling_job_parts():
+    """Wordcount without a combiner whose two map tasks spill several times."""
+    rng = random.Random(9)
+    words = [f"w{i:02d}" for i in range(30)]
+    data = "".join(" ".join(rng.choices(words, k=6)) + "\n" for _ in range(120)).encode()
+    c = Cluster(ClusterConfig(num_nodes=3, chunk_size=2048, replication=2, seed=4))
+    c.put_file("in", data)
+    spec = JobSpec(job_id="wc", input_path="in", output_path="out",
+                   mapper_id="wordcount.map", reducer_id="wordcount.reduce",
+                   num_reducers=2)
+    res = run_job(c, spec, RunOptions(executor="serial", spill_pairs=40))
+    return [c.get_file(p) for p in res.report.parts]
+
+
+def test_tracer_wraps_the_shuffle_path_and_restores_it(tmp_path):
+    tracer_mod = _load_tracer()
+    before = _entry_points()
+    untraced = _spilling_job_parts()
+
+    tracer = tracer_mod.Tracer(str(tmp_path))
+    installation = tracer_mod.Installation(tracer)
+    try:
+        assert tasks.write_run is not before[(tasks, "write_run")]
+        traced = _spilling_job_parts()
+        spans, counters = tracer.collect()
+    finally:
+        installation.remove()
+
+    assert traced == untraced
+    names = {s["name"] for s in spans}
+    for name in ("tasks.write_run", "tasks.shuffle_merge", "tasks.group_by_key"):
+        assert name in names
+    assert sum(s.get("pairs", 0) for s in spans if s["name"] == "tasks.write_run") > 0
+    assert counters.get("tasks.spill.files", 0) > 0
+    assert counters.get("tasks.iter_run.pairs", 0) > 0
+    after = _entry_points()
+    assert after.keys() == before.keys()
+    assert [k for k in before if after[k] is not before[k]] == []
