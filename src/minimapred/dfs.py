@@ -17,8 +17,10 @@ import hashlib
 import os
 import threading
 import uuid
-from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from dataclasses import asdict, dataclass
+from functools import partial
+from itertools import accumulate, chain
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import AlreadyExists, ChunkUnavailable, InvalidConfig, NotFound
 from .hashing import placement_hash
@@ -45,12 +47,7 @@ class ClusterConfig:
             )
 
     def to_dict(self) -> dict:
-        return {
-            "num_nodes": self.num_nodes,
-            "chunk_size": self.chunk_size,
-            "replication": self.replication,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -70,24 +67,7 @@ class FileMeta:
     chunks: tuple[Chunk, ...]
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "path": self.path,
-                "file_id": self.file_id,
-                "size": self.size,
-                "chunks": [
-                    {
-                        "file_id": c.file_id,
-                        "index": c.index,
-                        "offset": c.offset,
-                        "length": c.length,
-                        "replicas": list(c.replicas),
-                    }
-                    for c in self.chunks
-                ],
-            },
-            sort_keys=True,
-        )
+        return json.dumps(asdict(self), sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "FileMeta":
@@ -113,6 +93,18 @@ class InputSplit:
 class Record(NamedTuple):
     offset: int
     line: bytes
+
+
+# Records are cut from a split ``_BLOCK`` bytes at a time, one
+# ``bytes.split`` per block; the record crossing the split's end is finished
+# with reads of ``_TAIL`` bytes, doubling up to ``_BLOCK``, so a short record
+# costs one small read and a long one few reads.
+_BLOCK = 64 * 1024
+_TAIL = 256
+
+# C-level helpers: building offsets and records runs no Python frame per record
+_new_record = partial(tuple.__new__, Record)
+_plus_newline = (1).__add__
 
 
 def file_id_for(path: str) -> str:
@@ -152,8 +144,11 @@ class MemoryStore:
         with self._lock:
             self._chunks[(node, file_id, index)] = bytes(data)
 
-    def read_chunk(self, node: int, file_id: str, index: int) -> bytes:
-        return self._chunks[(node, file_id, index)]
+    def read_chunk(self, node: int, file_id: str, index: int,
+                   lo: int = 0, hi: int | None = None) -> bytes:
+        """Bytes [lo, hi) of the chunk, the whole chunk by default; a range
+        covering the whole chunk returns the stored object, not a copy."""
+        return self._chunks[(node, file_id, index)][lo:hi]
 
     def delete_chunk(self, node: int, file_id: str, index: int) -> None:
         with self._lock:
@@ -248,9 +243,13 @@ class DiskStore:
         os.makedirs(self._node_dir(node), exist_ok=True)
         self._atomic_write(self._chunk_path(node, file_id, index), data)
 
-    def read_chunk(self, node: int, file_id: str, index: int) -> bytes:
+    def read_chunk(self, node: int, file_id: str, index: int,
+                   lo: int = 0, hi: int | None = None) -> bytes:
+        """Bytes [lo, hi) of the chunk, the whole chunk by default."""
         with open(self._chunk_path(node, file_id, index), "rb") as f:
-            return f.read()
+            if lo:
+                f.seek(lo)
+            return f.read() if hi is None else f.read(max(0, hi - lo))
 
     def delete_chunk(self, node: int, file_id: str, index: int) -> None:
         try:
@@ -455,10 +454,11 @@ class Cluster:
     def list_files(self, prefix: str = "") -> list[FileMeta]:
         return [m for m in self.store.list_metas() if m.path.startswith(prefix)]
 
-    def _read_chunk_live(self, chunk: Chunk, path: str) -> bytes:
+    def _read_chunk_live(self, chunk: Chunk, path: str,
+                         lo: int = 0, hi: int | None = None) -> bytes:
         for node in chunk.replicas:
             if not self.store.is_dead(node):
-                return self.store.read_chunk(node, chunk.file_id, chunk.index)
+                return self.store.read_chunk(node, chunk.file_id, chunk.index, lo, hi)
         raise ChunkUnavailable(chunk.index, path)
 
     def get_file(self, path: str) -> bytes:
@@ -467,7 +467,8 @@ class Cluster:
         return b"".join(self._read_chunk_live(c, path) for c in meta.chunks)
 
     def read_range(self, meta: FileMeta, start: int, end: int) -> bytes:
-        """Bytes of ``meta``'s file in [start, end), clamped to file size."""
+        """Bytes of ``meta``'s file in [start, end), clamped to file size;
+        each chunk read covers only the requested bytes."""
         start = max(0, start)
         end = min(meta.size, end)
         if start >= end:
@@ -478,10 +479,8 @@ class Cluster:
         pos = start
         while pos < end:
             c = meta.chunks[ci]
-            data = self._read_chunk_live(c, meta.path)
-            lo = pos - c.offset
             hi = min(end - c.offset, c.length)
-            parts.append(data[lo:hi])
+            parts.append(self._read_chunk_live(c, meta.path, pos - c.offset, hi))
             pos = c.offset + hi
             ci += 1
         return b"".join(parts)
@@ -504,63 +503,48 @@ class Cluster:
         previous byte is a newline (or start == 0); otherwise the tail of
         the previous split's record is skipped.
         """
+        return chain.from_iterable(self._split_blocks(split))
+
+    def _split_blocks(self, split: InputSplit) -> Iterator[Iterable[Record]]:
+        """The records of ``split`` as one iterable per block. The split's
+        bytes are read once, plus one byte before it and the end of the
+        record that crosses its end."""
         meta = self.meta_by_id(split.file_id)
-        if split.start >= meta.size:
+        start, end = split.start, min(split.end, meta.size)
+        if start >= end:
             return
-        if split.start == 0:
-            yield from self._records(meta, 0, split.end)
-        elif self.read_range(meta, split.start - 1, split.start) == b"\n":
-            yield from self._records(meta, split.start, split.end)
-        else:
-            yield from self._records(meta, split.start, split.end, skip_first=True)
+        data = self.read_range(meta, start, end)
+        pos = 0  # start of the first owned record, relative to ``start``
+        if start > 0 and self.read_range(meta, start - 1, start) != b"\n":
+            pos = data.find(b"\n") + 1
+            if pos == 0:
+                return  # the whole split is inside an earlier split's record
+        last = data.rfind(b"\n") + 1  # start of the record crossing ``end``
+        while pos < last:
+            nl = data.rfind(b"\n", pos, pos + _BLOCK)
+            if nl < 0:  # a record longer than a block
+                nl = data.find(b"\n", pos + _BLOCK)
+            lines = data[pos:nl].split(b"\n")
+            offsets = accumulate(map(_plus_newline, map(len, lines)), initial=start + pos)
+            yield map(_new_record, zip(offsets, lines))
+            pos = nl + 1
+        if last < len(data):
+            yield (Record(start + last, data[last:] + self._tail(meta, end)),)
 
-    def _records(self, meta: FileMeta, pos: int, stop: int,
-                 skip_first: bool = False) -> Iterator[Record]:
-        """Scan records from ``pos``, yielding those starting before ``stop``.
-
-        With ``skip_first`` the scan discards everything up to and including
-        the first newline (the tail of a record owned by an earlier split).
-        """
-        size = meta.size
-        chunks = meta.chunks
-        offsets = [c.offset for c in chunks]
-        ci = bisect.bisect_right(offsets, pos) - 1
-
-        buf = b""
-        buf_off = pos  # buf covers file[buf_off : buf_off + len(buf)]
-        fetched = pos  # next absolute offset to fetch into buf
-        scan = pos  # absolute offset where the newline search resumes
-        cur = pos  # absolute start of the record being assembled
-        skipping = skip_first
-
-        while True:
-            nl = buf.find(b"\n", scan - buf_off)
-            if nl == -1:
-                scan = fetched
-                if fetched >= size:
-                    if not skipping and cur < stop and cur < size:
-                        yield Record(cur, buf[cur - buf_off :])
-                    return
-                c = chunks[ci]
-                if c.offset + c.length <= fetched:
-                    ci += 1
-                    c = chunks[ci]
-                data = self._read_chunk_live(c, meta.path)
-                buf += data[fetched - c.offset :]
-                fetched = c.offset + c.length
-                continue
-            if skipping:
-                skipping = False
-            else:
-                yield Record(cur, buf[cur - buf_off : nl])
-            cur = buf_off + nl + 1
-            scan = cur
-            if cur >= stop or cur >= size:
-                return
-            # amortized-linear trim of the consumed prefix
-            if (cur - buf_off) * 2 > len(buf):
-                buf = buf[cur - buf_off :]
-                buf_off = cur
+    def _tail(self, meta: FileMeta, pos: int) -> bytes:
+        """Bytes from ``pos`` up to the first newline or EOF."""
+        parts = []
+        step = _TAIL
+        while pos < meta.size:
+            piece = self.read_range(meta, pos, pos + step)
+            nl = piece.find(b"\n")
+            if nl >= 0:
+                parts.append(piece[:nl])
+                break
+            parts.append(piece)
+            pos += len(piece)
+            step = min(2 * step, _BLOCK)
+        return b"".join(parts)
 
     # -- reducer output ----------------------------------------------------
 

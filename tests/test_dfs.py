@@ -1,6 +1,8 @@
 """Storage layer: chunking, placement, replicas, splits, record reading."""
 
+import json
 import os
+import tempfile
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,7 +15,8 @@ from minimapred import (
     InvalidConfig,
     NotFound,
 )
-from minimapred.dfs import file_id_for, part_file_path
+from minimapred import dfs
+from minimapred.dfs import DiskStore, FileMeta, MemoryStore, file_id_for, part_file_path
 
 import oracles
 
@@ -49,6 +52,25 @@ def test_placement_is_deterministic_for_same_seed():
     first = cluster(seed=99).put_file("f", data)
     second = cluster(seed=99).put_file("f", data)
     assert first.to_json() == second.to_json()
+
+
+def test_catalog_json_bytes_are_pinned(tmp_path):
+    # the on-disk catalog and cluster.json must not change bytes
+    meta = cluster(nodes=3, chunk=4, repl=2, seed=7).put_file("d/f", b"ab\ncd\ne")
+    text = (
+        '{"chunks": [{"file_id": "dd3128568d26f545", "index": 0, "length": 4, '
+        '"offset": 0, "replicas": [0, 1]}, {"file_id": "dd3128568d26f545", '
+        '"index": 1, "length": 3, "offset": 4, "replicas": [1, 2]}], '
+        '"file_id": "dd3128568d26f545", "path": "d/f", "size": 7}'
+    )
+    assert meta.to_json() == text
+    assert FileMeta.from_json(text) == meta
+    root = tmp_path / "s"
+    cfg = ClusterConfig(num_nodes=3, chunk_size=4, replication=2, seed=7)
+    Cluster.open_disk(str(root), cfg)
+    text = (root / "cluster.json").read_text()
+    assert text == '{"num_nodes": 3, "chunk_size": 4, "replication": 2, "seed": 7}'
+    assert ClusterConfig(**json.loads(text)) == cfg
 
 
 def test_placement_changes_with_seed():
@@ -136,6 +158,18 @@ def test_read_range_matches_slice():
         assert c.read_range(meta, start, end) == data[start:end]
 
 
+@pytest.mark.parametrize("kind", ["memory", "disk"])
+def test_ranged_read_chunk_matches_slice(kind, tmp_path):
+    store = MemoryStore() if kind == "memory" else DiskStore(str(tmp_path / "s"))
+    whole = bytes(range(50))
+    store.write_chunk(1, "fid", 3, whole)
+    assert store.read_chunk(1, "fid", 3) == whole
+    for lo, hi in [(0, 50), (0, 1), (49, 50), (7, 19), (12, 12), (50, 50), (0, 80), (30, None)]:
+        assert store.read_chunk(1, "fid", 3, lo, hi) == whole[lo:hi], (lo, hi)
+    if kind == "memory":
+        assert store.read_chunk(1, "fid", 3, 0, 50) is store.read_chunk(1, "fid", 3)
+
+
 # ---------------------------------------------------------------------------
 # splits and records
 
@@ -209,6 +243,98 @@ def test_split_completeness_property(lines, trailing, chunk):
     assert [r.offset for r in records] == [
         off for off, _ in oracles.records_with_offsets(data)
     ]
+
+
+_lines = st.lists(
+    st.one_of(
+        st.just(b""),
+        st.binary(max_size=6),
+        st.binary(min_size=17, max_size=150),  # longer than any block, often than a chunk
+    ).map(lambda b: b.replace(b"\n", b"")),
+    max_size=25,
+)
+
+
+def _check_block_scan(c, lines, trailing, block, tail):
+    data = b"\n".join(lines)
+    if trailing and data:
+        data += b"\n"
+    meta = c.put_file("f", data)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dfs, "_BLOCK", block)
+        mp.setattr(dfs, "_TAIL", tail)
+        records = [r for s in c.make_splits(meta) for r in c.read_split(s)]
+    assert records == oracles.records_with_offsets(data)
+
+
+@settings(max_examples=300, deadline=None)
+@given(lines=_lines, trailing=st.booleans(), chunk=st.integers(1, 64),
+       block=st.integers(1, 16), tail=st.integers(1, 16))
+def test_block_scan_matches_oracle_memory(lines, trailing, chunk, block, tail):
+    _check_block_scan(cluster(nodes=3, chunk=chunk, repl=1), lines, trailing, block, tail)
+
+
+@settings(max_examples=15, deadline=None)
+@given(lines=_lines, trailing=st.booleans(), chunk=st.integers(1, 64),
+       block=st.integers(1, 16), tail=st.integers(1, 16))
+def test_block_scan_matches_oracle_disk(lines, trailing, chunk, block, tail):
+    with tempfile.TemporaryDirectory() as root:
+        c = Cluster.open_disk(root, ClusterConfig(num_nodes=3, chunk_size=chunk,
+                                                  replication=1, seed=7))
+        _check_block_scan(c, lines, trailing, block, tail)
+
+
+def test_block_without_newline_cuts_the_long_record_only(monkeypatch):
+    # the 20-byte record fills a whole 8-byte block with no newline in it;
+    # the records after it must still be cut one by one
+    monkeypatch.setattr(dfs, "_BLOCK", 8)
+    c = cluster(chunk=64)
+    meta = c.put_file("f", b"a\n" + b"x" * 20 + b"\nbb\ncc\n")
+    [split] = c.make_splits(meta)
+    assert list(c.read_split(split)) == [(0, b"a"), (2, b"x" * 20), (23, b"bb"), (26, b"cc")]
+
+
+@pytest.mark.parametrize("kind", ["memory", "disk"])
+def test_split_reads_own_bytes_once(kind, tmp_path):
+    cfg = ClusterConfig(num_nodes=3, chunk_size=64 << 10, replication=2, seed=7)
+    c = Cluster(cfg) if kind == "memory" else Cluster.open_disk(str(tmp_path / "s"), cfg)
+    data = b"".join(b"line %d of the input\n" % i for i in range(50_000))
+    assert 1 << 20 <= len(data) < 2 << 20
+    meta = c.put_file("f", data)
+    reads = []  # (split index, chunk index, bytes) of every chunk read
+    split_index = [None]
+    orig = c.store.read_chunk
+
+    def counting(node, file_id, index, *args):
+        out = orig(node, file_id, index, *args)
+        reads.append((split_index[0], index, len(out)))
+        return out
+
+    c.store.read_chunk = counting
+    records = []
+    for s in c.make_splits(meta):
+        split_index[0] = s.split_index
+        records += c.read_split(s)
+    assert records == oracles.records_with_offsets(data)
+    assert sum(n for _, _, n in reads) <= 1.01 * len(data)
+    for s in c.make_splits(meta)[1:]:
+        # the boundary test is the only read of the previous chunk
+        assert [n for i, ci, n in reads if i == s.split_index and ci == s.split_index - 1] == [1]
+
+
+@pytest.mark.parametrize("dead_chunk", [1, 2])
+def test_dead_tail_chunk_raises_instead_of_truncating(dead_chunk):
+    # "b"*20 starts in chunk 0 and runs through chunks 1-3
+    c = cluster(nodes=4, chunk=8, repl=2)
+    meta = c.put_file("f", b"aaaa\n" + b"b" * 20 + b"\ncc\n")
+    for node in meta.chunks[dead_chunk].replicas:
+        c.mark_node_dead(node)
+    got = []
+    with pytest.raises(ChunkUnavailable) as exc:
+        for r in c.read_split(c.make_splits(meta)[0]):
+            got.append(r)
+    assert exc.value.chunk_index == dead_chunk
+    assert got == [(0, b"aaaa")]
 
 
 # ---------------------------------------------------------------------------
