@@ -31,7 +31,8 @@ class TaskResult:
     node: int
     kind: str
     ok: bool
-    locations: list[tuple[int, str]] | None = None  # map: per-partition runs
+    # map: per partition, (node, run names) in spill order, final run last
+    locations: list[tuple[int, tuple[str, ...]]] | None = None
     skipped: int = 0
     part_path: str | None = None  # reduce
     captured: list | None = None

@@ -129,10 +129,13 @@ class RecoverySummary:
     restarted_reduces: list[str] = field(default_factory=list)
 
 
-def _revert(task: TaskDescriptor, max_attempts: int) -> None:
+def revert(task: TaskDescriptor, max_attempts: int, detail: str | None = None) -> None:
+    """Send a task back to pending with its next attempt number; raise
+    JobFailed, ending with ``detail`` if given, past ``max_attempts``."""
     task.attempt += 1
     if task.attempt > max_attempts:
-        raise JobFailed(f"task {task.task_id} exceeded {max_attempts} attempts")
+        raise JobFailed(f"task {task.task_id} exceeded {max_attempts} attempts"
+                        + (f": {detail}" if detail else ""))
     task.state = TaskState.PENDING
     task.assigned_node = None
     task.result_locations = None
@@ -151,21 +154,21 @@ def recover(job: JobState, dead_node: int, max_attempts: int) -> RecoverySummary
 
     for task in job.map_tasks + job.reduce_tasks:
         if task.state is TaskState.RUNNING and task.assigned_node == dead_node:
-            _revert(task, max_attempts)
+            revert(task, max_attempts)
             summary.reverted_running.append(task.task_id)
 
     for task in job.map_tasks:
         if task.state is TaskState.COMPLETED and any(
             node == dead_node for node, _ in (task.result_locations or [])
         ):
-            _revert(task, max_attempts)
+            revert(task, max_attempts)
             summary.reverted_completed_maps.append(task.task_id)
 
     if summary.reverted_completed_maps and job.phase is Phase.REDUCING:
         job.phase = Phase.MAPPING
         for task in job.reduce_tasks:
             if task.state is TaskState.RUNNING:
-                _revert(task, max_attempts)
+                revert(task, max_attempts)
                 summary.restarted_reduces.append(task.task_id)
 
     return summary

@@ -43,7 +43,8 @@ class TaskDescriptor:
     ``attempt`` counts re-assignments: 0 for a task that ran (or will run)
     once, +1 every time the task is sent back to pending after a failure or
     a lost result. For completed map tasks ``result_locations`` holds one
-    (node, run name) pair per reduce partition.
+    (node, run names) pair per reduce partition: the partition's spill runs
+    in spill order, then its final run.
     """
 
     task_id: str
@@ -52,7 +53,7 @@ class TaskDescriptor:
     state: TaskState = TaskState.PENDING
     attempt: int = 0
     assigned_node: int | None = None
-    result_locations: list[tuple[int, str]] | None = None
+    result_locations: list[tuple[int, tuple[str, ...]]] | None = None
 
     @property
     def index(self) -> int:

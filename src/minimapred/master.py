@@ -259,16 +259,7 @@ class Master:
         self._revert(task)
 
     def _revert(self, task: TaskDescriptor) -> None:
-        task.attempt += 1
-        if task.attempt > self.options.max_attempts:
-            detail = self._last_error.get(task.task_id)
-            raise JobFailed(
-                f"task {task.task_id} exceeded {self.options.max_attempts} attempts"
-                + (f": {detail}" if detail else "")
-            )
-        task.state = TaskState.PENDING
-        task.assigned_node = None
-        task.result_locations = None
+        fault.revert(task, self.options.max_attempts, self._last_error.get(task.task_id))
 
     def _kill(self, node: int) -> None:
         if self._liveness.is_dead(node):

@@ -24,26 +24,28 @@ def plan_reduce_tasks(num_reducers: int) -> list[TaskDescriptor]:
 def schedule(
     pending: list[TaskDescriptor], idle_nodes: list[int]
 ) -> list[tuple[TaskDescriptor, int]]:
-    """Pair pending tasks with distinct idle nodes.
+    """Pair pending tasks with distinct idle nodes, in two passes.
 
-    Map tasks go to the first idle node in their split's replica list when
-    one is idle (data locality), otherwise to the lowest-numbered idle node.
-    Reduce tasks have no locality preference. Tasks compete in task-id
-    order (map before reduce, then by index).
+    First, each map task in task-id order takes the first idle node in its
+    split's replica list, if one is idle (data locality). Then the tasks
+    left take the lowest-numbered idle nodes in task-id order. A task with
+    no idle replica thus never displaces a later task from its local node.
+    Reduce tasks have no locality preference. Tasks are ordered by task id
+    (map before reduce, then by index), and so is the result.
     """
+    tasks = sorted(pending, key=lambda t: (t.kind, t.index))
     idle = set(idle_nodes)
-    assignments = []
-    for task in sorted(pending, key=lambda t: (t.kind, t.index)):
+    chosen: dict[str, int] = {}
+    for task in tasks:
+        if task.kind == "map":
+            node = next((n for n in task.payload.preferred_nodes if n in idle), None)
+            if node is not None:
+                idle.discard(node)
+                chosen[task.task_id] = node
+    for task in tasks:
         if not idle:
             break
-        node = None
-        if task.kind == "map":
-            for preferred in task.payload.preferred_nodes:
-                if preferred in idle:
-                    node = preferred
-                    break
-        if node is None:
-            node = min(idle)
-        idle.discard(node)
-        assignments.append((task, node))
-    return assignments
+        if task.task_id not in chosen:
+            chosen[task.task_id] = node = min(idle)
+            idle.discard(node)
+    return [(task, chosen[task.task_id]) for task in tasks if task.task_id in chosen]

@@ -1,15 +1,16 @@
 """Worker-side task execution: map with partition/sort/combine, the
 merge-sort shuffle, grouping, and reduce.
 
-Intermediate data is stored as node-local "runs": one key-sorted binary
-file per (map task, partition) made of key groups. A group record is a
-``<II`` header (key length, value count), the key, the value lengths as
-little-endian u32, then the values; adjacent records may repeat a key. The
-map side buffers values per key, sorts the keys and writes whole groups,
-spilling at ``spill_pairs`` buffered pairs (combiner jobs too, applying the
-combiner once per key at each write). The shuffle is a k-way merge of
-groups; ties on equal keys break by map task index and then emission
-order, which makes reducer input fully deterministic.
+Intermediate data is stored as node-local "runs": key-sorted binary files
+of key groups. A group record is a ``<II`` header (key length, value
+count), the key, the value lengths as little-endian u32, then the values;
+adjacent records may repeat a key. A map task buffers values per key and
+writes one run of sorted groups per partition at ``spill_pairs`` buffered
+pairs (a spill) and at the end (the final run), applying the combiner, if
+any, once per key at each write. Its spills and final run are its output:
+the only merge is the reducer's k-way merge over every run of every map
+task, where ties on equal keys break by map task index, then spill index,
+then emission order, which makes reducer input fully deterministic.
 """
 
 from __future__ import annotations
@@ -112,17 +113,19 @@ def run_map_task(
     combiner: Callable | None,
     num_reducers: int,
     spill_pairs: int = 512 * 1024,
-) -> tuple[list[tuple[int, str]], int]:
-    """Apply the mapper to every record of the split and leave one
-    key-sorted run per partition on the executing node's local store.
+) -> tuple[list[tuple[int, tuple[str, ...]]], int]:
+    """Apply the mapper to every record of the split and leave key-sorted
+    runs for each partition on the executing node's local store.
 
     Values are buffered per key in emission order, and keys are assigned
     to partitions when the buffer is written: at ``spill_pairs`` buffered
-    pairs as one sorted spill run per partition, so memory stays
-    O(spill_pairs), and at the end. The combiner, if any, is applied once
-    per key at each write.
+    pairs as one sorted spill run ``<run>.spill<i>`` per non-empty
+    partition, so memory stays O(spill_pairs), and at the end as the final
+    run ``run_name(...)`` of every partition, empty or not. The combiner,
+    if any, is applied once per key at each write.
     Records that the mapper rejects with SkipRecord are counted, not fatal.
-    Returns (per-partition (node, run name) locations, skipped records).
+    Returns (per-partition (node, run names) locations, skipped records);
+    the names are in spill order, which is emission order, final run last.
     """
     store = cluster.store
     part_cache: dict[bytes, int] = {}
@@ -178,17 +181,8 @@ def run_map_task(
     locations = []
     for p, run in enumerate(drain()):
         name = run_name(job_id, task_id, attempt, p)
-        files = [store.open_local_read(node, s) for s in spills[p]]
-        try:
-            # spill order is emission order, and merge keeps it on ties
-            streams = [iter_run(f) for f in files] + [run]
-            write(name, heapq.merge(*streams, key=itemgetter(0)))
-        finally:
-            for f in files:
-                f.close()
-        for s in spills[p]:
-            store.delete_local(node, s)
-        locations.append((node, name))
+        write(name, run)
+        locations.append((node, (*spills[p], name)))
     return locations, skipped
 
 
@@ -199,26 +193,30 @@ def run_map_task(
 def shuffle_fetch(
     cluster: Cluster,
     partition_index: int,
-    sources: list[tuple[int, str, int, str]],
+    sources: list[tuple[int, str, int, tuple[str, ...]]],
 ) -> Iterator[Group]:
-    """Merge the per-map-task sorted runs of one partition into a single
-    key-sorted stream of groups.
+    """Merge every sorted run of one partition into a single key-sorted
+    stream of groups.
 
-    ``sources`` is (map index, map task id, node, run name), ordered by map
-    index; equal keys therefore come out in (map task index, emission order).
-    A source on a dead node (or a missing run) raises ShuffleSourceLost so
-    the master re-executes that map task.
+    ``sources`` is (map index, map task id, node, run names), taken in map
+    index order, each source's runs in the order given (spill order, final
+    run last). The merge is stable, so equal keys come out in (map task
+    index, spill index, emission order). All runs are open at once: the
+    fan-in is the sum over map tasks of (spills + 1), with no cap.
+    A source on a dead node, or with any run missing, raises
+    ShuffleSourceLost so the master re-executes that map task.
     """
     del partition_index  # identified by the run names themselves
     files = []
     try:
-        for _, map_task_id, node, name in sorted(sources):
+        for _, map_task_id, node, names in sorted(sources):
             if cluster.is_node_dead(node):
                 raise ShuffleSourceLost(map_task_id)
-            try:
-                files.append(cluster.store.open_local_read(node, name))
-            except NotFound:
-                raise ShuffleSourceLost(map_task_id) from None
+            for name in names:
+                try:
+                    files.append(cluster.store.open_local_read(node, name))
+                except NotFound:
+                    raise ShuffleSourceLost(map_task_id) from None
     except Exception:
         for f in files:
             f.close()
@@ -256,7 +254,7 @@ def run_reduce_task(
     cluster: Cluster,
     partition_index: int,
     reducer: Callable,
-    sources: list[tuple[int, str, int, str]],
+    sources: list[tuple[int, str, int, tuple[str, ...]]],
     output_path: str,
     capture: bool = False,
 ) -> tuple[str, list[Pair] | None]:

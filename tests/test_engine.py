@@ -2,6 +2,7 @@
 
 import io
 import itertools
+import os
 import random
 
 import pytest
@@ -88,6 +89,11 @@ def test_fallback_to_lowest_idle_when_preferred_busy():
 def test_two_tasks_one_node_lower_task_id_first():
     t0, t1 = mk_map_task(0, [1]), mk_map_task(1, [1])
     assert schedule([t1, t0], [1]) == [(t0, 1)]
+
+
+def test_task_without_idle_replica_leaves_a_later_tasks_replica_node():
+    t0, t1 = mk_map_task(0, [2]), mk_map_task(1, [1])
+    assert schedule([t0, t1], [1]) == [(t1, 1)]
 
 
 def test_first_listed_replica_preferred():
@@ -183,10 +189,23 @@ def _single_line_cluster(line: bytes):
     return c, split
 
 
-def read_run_pairs(cluster, node, name):
-    """A run's groups expanded back to (key, value) pairs."""
-    with cluster.store.open_local_read(node, name) as f:
-        return [(k, v) for k, vs in iter_run(f) for v in vs]
+def read_run_groups(cluster, node, names):
+    """A map task's runs for one partition, each checked to be key-sorted,
+    merged in spill order: a stable sort of the runs' groups laid end to end
+    in ``names`` order."""
+    groups = []
+    for name in names:
+        with cluster.store.open_local_read(node, name) as f:
+            run = list(iter_run(f))
+        assert [k for k, _ in run] == sorted(k for k, _ in run)
+        groups += run
+    return sorted(groups, key=lambda g: g[0])
+
+
+def read_run_pairs(cluster, node, names):
+    """A map task's runs for one partition, merged in spill order and
+    expanded back to (key, value) pairs."""
+    return [(k, v) for k, vs in read_run_groups(cluster, node, names) for v in vs]
 
 
 def test_map_task_sorts_within_partition():
@@ -221,9 +240,9 @@ def test_map_task_empty_split_leaves_empty_runs():
     locations, skipped = run_map_task(
         c, "j", "map-5", 0, 0, empty, wordcount_map, None, 3)
     assert skipped == 0
-    assert len(locations) == 3
-    for node, name in locations:
-        assert read_run_pairs(c, node, name) == []
+    assert locations == [(0, (f"runs/j/map-5.0.{p}",)) for p in range(3)]
+    for node, names in locations:
+        assert read_run_pairs(c, node, names) == []
 
 
 def test_map_task_spills_produce_identical_runs():
@@ -234,6 +253,8 @@ def test_map_task_spills_produce_identical_runs():
                           spill_pairs=10**9)
     small, _ = run_map_task(c2, "j", "map-0", 0, 0, s2, wordcount_map, None, 2,
                             spill_pairs=64)
+    assert [len(names) for _, names in big] == [1, 1]
+    assert all(len(names) > 1 for _, names in small)
     for (n1, r1), (n2, r2) in zip(big, small):
         assert read_run_pairs(c1, n1, r1) == read_run_pairs(c2, n2, r2)
 
@@ -289,12 +310,15 @@ def test_map_task_runs_and_parts_hold_under_spills(records, spill_pairs, reducer
                                 spill_pairs=spill_pairs)
     buffered = itertools.accumulate(len(r) for r in records)
     assert any(".spill" in n for n in written) == any(n >= spill_pairs for n in buffered)
-    for (node, name), part_keys in zip(locations, keys):
+    # every run written is output, each listed once, spills first
+    assert sorted(n for _, names in locations for n in names) == sorted(written)
+    for (node, names), part_keys in zip(locations, keys):
+        assert [".spill" in n for n in names] == [True] * (len(names) - 1) + [False]
         if not combine:
-            assert read_run_pairs(c, node, name) == sorted(
+            assert read_run_pairs(c, node, names) == sorted(
                 (kv for kv in emitted if kv[0] in part_keys), key=lambda kv: kv[0])
-        with c.store.open_local_read(node, name) as f:
-            joined = [(k, b",".join(vs)) for k, vs in group_by_key(iter_run(f))]
+        joined = [(k, b",".join(vs))
+                  for k, vs in group_by_key(read_run_groups(c, node, names))]
         assert joined == [(k, b",".join(values[k])) for k in part_keys]
 
     def job_parts(spill):
@@ -326,7 +350,8 @@ def test_shuffle_merges_sorted_runs(small_cluster):
     c = small_cluster
     _put_run(c, 0, "runs/j/map-0.0.0", [(b"a", [b"1"]), (b"c", [b"1", b"2"])])
     _put_run(c, 1, "runs/j/map-1.0.0", [(b"b", [b"1"])])
-    sources = [(0, "map-0", 0, "runs/j/map-0.0.0"), (1, "map-1", 1, "runs/j/map-1.0.0")]
+    sources = [(0, "map-0", 0, ("runs/j/map-0.0.0",)),
+               (1, "map-1", 1, ("runs/j/map-1.0.0",))]
     assert list(shuffle_fetch(c, 0, sources)) == [
         (b"a", [b"1"]), (b"b", [b"1"]), (b"c", [b"1", b"2"])]
 
@@ -336,9 +361,25 @@ def test_shuffle_ties_break_by_map_index(small_cluster):
     _put_run(c, 0, "r0", [(b"k", [b"from-map0"]), (b"k", [b"map0-spill1"])])
     _put_run(c, 1, "r1", [(b"k", [b"from-map1"])])
     # source list order must not matter, only the map index
-    sources = [(1, "map-1", 1, "r1"), (0, "map-0", 0, "r0")]
+    sources = [(1, "map-1", 1, ("r1",)), (0, "map-0", 0, ("r0",))]
     assert [vs for _, vs in shuffle_fetch(c, 0, sources)] == [
         [b"from-map0"], [b"map0-spill1"], [b"from-map1"]]
+
+    # several runs per source: (map index, spill index, emission order)
+    for node, name, groups in [
+        (0, "m0.spill0", [(b"a", [b"0s0"]), (b"k", [b"0s0-1", b"0s0-2"])]),
+        (0, "m0.spill1", [(b"k", [b"0s1"]), (b"z", [b"0s1"])]),
+        (0, "m0", [(b"a", [b"0f"]), (b"k", [b"0f-1"]), (b"k", [b"0f-2"])]),
+        (1, "m1.spill0", [(b"k", [b"1s0"])]),
+        (1, "m1", [(b"a", [b"1f"]), (b"k", [b"1f"])]),
+    ]:
+        _put_run(c, node, name, groups)
+    sources = [(1, "map-1", 1, ("m1.spill0", "m1")),
+               (0, "map-0", 0, ("m0.spill0", "m0.spill1", "m0"))]
+    assert [(k, v) for k, vs in shuffle_fetch(c, 0, sources) for v in vs] == [
+        (b"a", b"0s0"), (b"a", b"0f"), (b"a", b"1f"),
+        (b"k", b"0s0-1"), (b"k", b"0s0-2"), (b"k", b"0s1"), (b"k", b"0f-1"),
+        (b"k", b"0f-2"), (b"k", b"1s0"), (b"k", b"1f"), (b"z", b"0s1")]
 
 
 def test_shuffle_multiset_preserved(small_cluster):
@@ -355,7 +396,7 @@ def test_shuffle_multiset_preserved(small_cluster):
         emitted.extend(pairs)
         # one group per pair, so adjacent records repeat keys
         _put_run(c, i % 4, f"r{i}", [(k, [v]) for k, v in pairs])
-        sources.append((i, f"map-{i}", i % 4, f"r{i}"))
+        sources.append((i, f"map-{i}", i % 4, (f"r{i}",)))
     merged = [(k, v) for k, vs in shuffle_fetch(c, 0, sources) for v in vs]
     assert sorted(merged) == sorted(emitted)
     assert [k for k, _ in merged] == sorted(k for k, _ in emitted)
@@ -388,7 +429,7 @@ def test_group_by_key_rejects_unsorted_stream():
 def test_reduce_task_writes_part(small_cluster):
     c = small_cluster
     _put_run(c, 0, "r", [(b"a", [b"1"]), (b"a", [b"2"])])
-    part, _ = run_reduce_task(c, 0, wordcount_reduce, [(0, "map-0", 0, "r")], "out")
+    part, _ = run_reduce_task(c, 0, wordcount_reduce, [(0, "map-0", 0, ("r",))], "out")
     assert part == "out/part-r-00000"
     assert c.get_file(part) == b"a\t3\n"
 
@@ -469,6 +510,47 @@ def test_output_identical_across_executors(tmp_path):
         report = submit_job(c, wc_spec(), RunOptions(executor=executor))
         outputs[executor] = [c.get_file(p) for p in report.parts]
     assert outputs["serial"] == outputs["threads"] == outputs["processes"]
+
+
+SPILL_CONFIG = ClusterConfig(num_nodes=3, chunk_size=2048, replication=2, seed=11)
+
+
+def _spilling_wordcount(cluster, spill_pairs, **options):
+    """Wordcount without a combiner over 1200 tokens (9.6 kB) in 5 map tasks."""
+    cluster.put_file("in", random_tokens(43, n=1200))
+    return run_job(cluster, wc_spec(combiner=False),
+                   RunOptions(spill_pairs=spill_pairs, **options))
+
+
+def test_spill_runs_are_sources_and_are_removed_with_the_job(tmp_path):
+    kept = Cluster.open_disk(str(tmp_path / "kept"), SPILL_CONFIG)
+    res = _spilling_wordcount(kept, 40, executor="serial", keep_intermediate=True)
+    runs = [(node, name) for m in res.state.map_tasks
+            for node, names in m.result_locations for name in names]
+    assert sum(".spill" in name for _, name in runs) >= 4
+    for node, name in runs:
+        assert os.path.isfile(os.path.join(tmp_path, "kept", f"node{node}", "local",
+                                           *name.split("/")))
+
+    clean = Cluster.open_disk(str(tmp_path / "clean"), SPILL_CONFIG)
+    _spilling_wordcount(clean, 40, executor="serial")
+    for node in range(SPILL_CONFIG.num_nodes):
+        assert os.path.isdir(os.path.join(tmp_path, "kept", f"node{node}", "local",
+                                          "runs", "wc")) == any(n == node for n, _ in runs)
+        assert not os.path.exists(os.path.join(tmp_path, "clean", f"node{node}",
+                                               "local", "runs", "wc"))
+
+
+def test_hundreds_of_runs_per_reducer_under_processes_match_serial(tmp_path):
+    disk = Cluster.open_disk(str(tmp_path / "store"), SPILL_CONFIG)
+    res = _spilling_wordcount(disk, 1, executor="processes", keep_intermediate=True)
+    for p in range(2):
+        assert sum(len(m.result_locations[p][1]) for m in res.state.map_tasks) >= 100
+    parts = [disk.get_file(p) for p in res.report.parts]
+    for spill_pairs in (1, 10**9):
+        mem = Cluster(SPILL_CONFIG)
+        report = _spilling_wordcount(mem, spill_pairs, executor="serial").report
+        assert [mem.get_file(p) for p in report.parts] == parts
 
 
 def test_phase_barrier_no_reduce_before_maps_done(small_cluster):

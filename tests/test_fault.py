@@ -23,6 +23,7 @@ from minimapred import (
     run_job,
     submit_job,
 )
+import minimapred.executors as executors
 from minimapred.tasks import run_map_task, shuffle_fetch
 from minimapred.jobs import wordcount_map
 
@@ -183,6 +184,53 @@ def test_dead_node_runs_unreadable_then_resolved():
     resolved = [(3, "map-3", *relocations[0])]
     assert list(shuffle_fetch(c, 0, resolved)) == [
         (b"alpha", [b"1", b"1"]), (b"beta", [b"1"])]
+
+
+def test_missing_spill_run_loses_its_map_source():
+    c = Cluster(ClusterConfig(num_nodes=3, chunk_size=1024, replication=2, seed=5))
+    meta = c.put_file("in", b"alpha beta alpha\ngamma alpha\nbeta delta\n")
+    [split] = c.make_splits(meta)
+    locations, _ = run_map_task(c, "j", "map-3", 0, 0, split, wordcount_map, None, 1,
+                                spill_pairs=2)
+    node, names = locations[0]
+    assert names == tuple(f"runs/j/map-3.0.0.spill{i}" for i in range(3)) + (
+        "runs/j/map-3.0.0",)
+    sources = [(3, "map-3", node, names)]
+    assert [(k, len(vs)) for k, vs in shuffle_fetch(c, 0, sources)] == [
+        (b"alpha", 2), (b"alpha", 1), (b"beta", 1), (b"beta", 1), (b"delta", 1),
+        (b"gamma", 1)]
+
+    c.store.delete_local(node, names[1])
+    with pytest.raises(ShuffleSourceLost) as exc:
+        shuffle_fetch(c, 0, sources)
+    assert exc.value.map_task_id == "map-3"
+
+
+def test_job_reexecutes_a_map_whose_spill_run_went_missing(monkeypatch):
+    data = random_tokens(31, n=300)
+    options = RunOptions(executor="serial", spill_pairs=3)
+    c0, baseline = _run(data=data, options=options)
+
+    lost = []
+    real = executors.run_map_task
+
+    def losing_a_spill(cluster, job_id, task_id, attempt, *args):
+        locations, skipped = real(cluster, job_id, task_id, attempt, *args)
+        if task_id == "map-1" and attempt == 0:
+            node, names = locations[0]
+            lost.append(names[0])
+            cluster.store.delete_local(node, names[0])
+        return locations, skipped
+
+    monkeypatch.setattr(executors, "run_map_task", losing_a_spill)
+    c1, res = _run(data=data, options=options)
+    assert lost == ["runs/wc/map-1.0.0.spill0"]
+    assert [c1.get_file(p) for p in res.report.parts] == [
+        c0.get_file(p) for p in baseline.report.parts]
+    assert [(e["reducer"], e["map"]) for e in res.events
+            if e["event"] == "shuffle_source_lost"] == [("reduce-0", "map-1")]
+    assert res.report.re_executed_completed_maps == 1
+    assert res.state.task("map-1").attempt == 1
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,9 @@ import minimapred.fault as fault
 import minimapred.master as master
 import minimapred.tasks as tasks
 from minimapred import Cluster, ClusterConfig, JobSpec, RunOptions, run_job
+from minimapred.jobs import wordcount_map
+
+import oracles
 
 TRACER_PY = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                          "perfbench", "tracer.py")
@@ -36,11 +39,15 @@ def _entry_points():
             for name, value in vars(owner).items() if callable(value)}
 
 
-def _spilling_job_parts():
-    """Wordcount without a combiner whose two map tasks spill several times."""
+def _spilling_job_input():
     rng = random.Random(9)
     words = [f"w{i:02d}" for i in range(30)]
-    data = "".join(" ".join(rng.choices(words, k=6)) + "\n" for _ in range(120)).encode()
+    return "".join(" ".join(rng.choices(words, k=6)) + "\n" for _ in range(120)).encode()
+
+
+def _spilling_job_parts():
+    """Wordcount without a combiner whose two map tasks spill several times."""
+    data = _spilling_job_input()
     c = Cluster(ClusterConfig(num_nodes=3, chunk_size=2048, replication=2, seed=4))
     c.put_file("in", data)
     spec = JobSpec(job_id="wc", input_path="in", output_path="out",
@@ -68,7 +75,12 @@ def test_tracer_wraps_the_shuffle_path_and_restores_it(tmp_path):
     names = {s["name"] for s in spans}
     for name in ("tasks.write_run", "tasks.shuffle_merge", "tasks.group_by_key"):
         assert name in names
-    assert sum(s.get("pairs", 0) for s in spans if s["name"] == "tasks.write_run") > 0
+    # each emitted pair is encoded once: spills and final runs are the map
+    # output, with no map-side merge writing them again
+    emitted = sum(len(wordcount_map(offset, line))
+                  for offset, line in oracles.records_with_offsets(_spilling_job_input()))
+    assert emitted > 0
+    assert sum(s.get("pairs", 0) for s in spans if s["name"] == "tasks.write_run") == emitted
     assert counters.get("tasks.spill.files", 0) > 0
     assert counters.get("tasks.iter_run.pairs", 0) > 0
     after = _entry_points()
