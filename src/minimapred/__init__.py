@@ -23,7 +23,7 @@ from .errors import (
     UnknownFunction,
     UnknownInput,
 )
-from .fault import FailureEvent, FailurePlan, Heartbeat, LivenessTracker, recover
+from .fault import FailureEvent, FailurePlan, recover
 from .jobtypes import JobReport, JobSpec, JobState, Phase, RunOptions, TaskDescriptor, TaskState
 from .master import Master, RunResult, run_job, submit_job
 from .registry import register, registered_ids, resolve
@@ -39,7 +39,6 @@ __all__ = [
     "FailureEvent",
     "FailurePlan",
     "FileMeta",
-    "Heartbeat",
     "InputSplit",
     "InvalidConfig",
     "InvalidPlan",
@@ -47,7 +46,6 @@ __all__ = [
     "JobReport",
     "JobSpec",
     "JobState",
-    "LivenessTracker",
     "Master",
     "MiniMapRedError",
     "NotFound",

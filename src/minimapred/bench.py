@@ -19,7 +19,7 @@ import tempfile
 import time
 from dataclasses import dataclass, field
 
-from .dfs import Cluster, ClusterConfig, FileMeta
+from .dfs import Cluster, ClusterConfig
 from .errors import JobFailed, ReportError
 from .jobs import uservisits_lines
 from .jobtypes import JobSpec, RunOptions
@@ -79,14 +79,6 @@ def token_lines(
     if tail:
         out.append(" ".join(tail) + "\n")
     return "".join(out).encode()
-
-
-def generate_tokens(
-    cluster: Cluster, path: str, size_bytes: int,
-    vocab_size: int = 10_000, seed: int = 42,
-) -> FileMeta:
-    """Generate and store a token file in the DFS."""
-    return cluster.put_file(path, token_lines(size_bytes, vocab_size, seed))
 
 
 def input_bytes(job_id: str, size_bytes: int, vocab_size: int, seed: int) -> bytes:

@@ -2,9 +2,11 @@
 
 Node deaths are scripted, not random: each event kills one node either at a
 logical tick (one tick = one master scheduling round) or right after a named
-task first completes. Death is permanent for the rest of the job. Recovery
-follows two rules: map results live on the node that produced them, so a
-dead node invalidates even *completed* map tasks; reduce results live in the
+task first completes. Death is recorded once, in the store (its dead marker),
+so it lasts for every later job on that store; the master asks the store
+which nodes are dead and never keeps a copy of its own. Recovery follows two
+rules: map results live on the node that produced them, so a dead node
+invalidates even *completed* map tasks; reduce results live in the
 replicated DFS, so completed reduce tasks are never re-executed.
 """
 
@@ -21,13 +23,10 @@ class FailureEvent:
     node_id: int
     tick: int | None = None
     after_task: str | None = None
-    permanent: bool = True
 
     def __post_init__(self):
         if (self.tick is None) == (self.after_task is None):
             raise InvalidPlan("event needs exactly one trigger: tick or after_task")
-        if not self.permanent:
-            raise InvalidPlan("nodes do not rejoin: permanent=False is not supported")
 
 
 @dataclass(frozen=True)
@@ -84,48 +83,9 @@ class PlanExecution:
 
 
 @dataclass
-class Heartbeat:
-    node_id: int
-    last_tick: int = 0
-    timeout_ticks: int | None = None  # None: never times out
-
-
-class LivenessTracker:
-    """Master-side liveness view: plan kills plus heartbeat timeouts."""
-
-    def __init__(self, num_nodes: int, timeout_ticks: int | None = None):
-        self.beats = {n: Heartbeat(n, 0, timeout_ticks) for n in range(num_nodes)}
-        self.dead: set[int] = set()
-
-    def record(self, node: int, tick: int) -> None:
-        if node in self.beats:
-            self.beats[node].last_tick = tick
-
-    def mark_dead(self, node: int) -> None:
-        self.dead.add(node)
-
-    def is_dead(self, node: int) -> bool:
-        return node in self.dead
-
-    def live(self) -> list[int]:
-        return [n for n in sorted(self.beats) if n not in self.dead]
-
-    def overdue(self, now_tick: int) -> list[int]:
-        """Nodes whose last report is older than their timeout."""
-        out = []
-        for n, hb in sorted(self.beats.items()):
-            if n in self.dead or hb.timeout_ticks is None:
-                continue
-            if now_tick - hb.last_tick > hb.timeout_ticks:
-                out.append(n)
-        return out
-
-
-@dataclass
 class RecoverySummary:
     reverted_running: list[str] = field(default_factory=list)
     reverted_completed_maps: list[str] = field(default_factory=list)
-    reverted_completed_reduces: list[str] = field(default_factory=list)
     restarted_reduces: list[str] = field(default_factory=list)
 
 

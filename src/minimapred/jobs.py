@@ -10,9 +10,7 @@ as shortest round-trip decimals, so outputs are byte-reproducible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .dfs import Cluster, FileMeta
 from .errors import SkipRecord
 from .registry import register
 
@@ -21,12 +19,6 @@ ONE = b"1"
 
 # ---------------------------------------------------------------------------
 # wordcount
-
-
-def tokenize(line: bytes) -> list[bytes]:
-    """Maximal runs of non-whitespace bytes; case-sensitive, punctuation
-    kept."""
-    return line.split()
 
 
 def wordcount_map(offset: int, line: bytes) -> list[tuple[bytes, bytes]]:
@@ -53,54 +45,6 @@ wordcount_combine = wordcount_reduce
 
 # ---------------------------------------------------------------------------
 # uservisits
-
-_FIELD_LIMITS = (16, 100, None, 64, 32, None)  # max chars per column
-
-
-@dataclass(frozen=True)
-class UserVisitRecord:
-    source_ip: str
-    dest_ip: str
-    revenue: float
-    user_agent: str
-    search_word: str
-    duration: int
-
-    def __post_init__(self):
-        for value, limit in zip(
-            (self.source_ip, self.dest_ip, None, self.user_agent, self.search_word),
-            _FIELD_LIMITS,
-        ):
-            if limit is not None and len(value) > limit:
-                raise ValueError(f"field {value!r} exceeds {limit} chars")
-        if not (math.isfinite(self.revenue) and self.revenue >= 0):
-            raise ValueError(f"revenue {self.revenue!r} must be finite and >= 0")
-
-    def to_line(self) -> bytes:
-        return "|".join(
-            (
-                self.source_ip,
-                self.dest_ip,
-                f"{self.revenue:.2f}",
-                self.user_agent,
-                self.search_word,
-                str(self.duration),
-            )
-        ).encode()
-
-    @classmethod
-    def from_line(cls, line: bytes) -> "UserVisitRecord":
-        fields = line.decode().split("|")
-        if len(fields) != 6:
-            raise ValueError(f"expected 6 fields, got {len(fields)}")
-        return cls(
-            source_ip=fields[0],
-            dest_ip=fields[1],
-            revenue=float(fields[2]),
-            user_agent=fields[3],
-            search_word=fields[4],
-            duration=int(fields[5]),
-        )
 
 
 def uservisits_map(offset: int, line: bytes) -> list[tuple[bytes, bytes]]:
@@ -160,11 +104,6 @@ def uservisits_lines(rows: int, seed: int) -> bytes:
         duration = rng.randrange(0, 36000)
         out.append(f"{ip}|{dest}|{revenue:.2f}|{agent}|{word}|{duration}\n")
     return "".join(out).encode()
-
-
-def generate_uservisits(cluster: Cluster, path: str, rows: int, seed: int) -> FileMeta:
-    """Generate and store a synthetic uservisits table in the DFS."""
-    return cluster.put_file(path, uservisits_lines(rows, seed))
 
 
 # ---------------------------------------------------------------------------

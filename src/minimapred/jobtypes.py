@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import enum
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .dfs import InputSplit
 from .errors import InvalidConfig
@@ -33,7 +33,6 @@ class TaskState(enum.Enum):
     PENDING = "pending"
     RUNNING = "running"
     COMPLETED = "completed"
-    FAILED = "failed"
 
 
 @dataclass
@@ -91,7 +90,6 @@ class RunOptions:
     executor: str = "threads"  # "serial" | "threads" | "processes"
     max_attempts: int = MAX_TASK_ATTEMPTS
     spill_pairs: int = 512 * 1024  # map-side buffered pairs before a spill
-    heartbeat_timeout_ticks: int | None = None  # None: timeouts disabled
     capture_reduce_inputs: bool = False  # debug: record pairs fed to reducers
     keep_intermediate: bool = False
 
@@ -114,20 +112,4 @@ class JobReport:
     tasks: list[dict] = field(default_factory=list)
 
     def to_json(self, indent: int | None = None) -> str:
-        return json.dumps(
-            {
-                "job_id": self.job_id,
-                "phase": self.phase,
-                "map_attempts": self.map_attempts,
-                "reduce_attempts": self.reduce_attempts,
-                "elapsed_ms": self.elapsed_ms,
-                "parts": self.parts,
-                "map_tasks": self.map_tasks,
-                "reduce_tasks": self.reduce_tasks,
-                "re_executed_completed_maps": self.re_executed_completed_maps,
-                "re_executed_completed_reduces": self.re_executed_completed_reduces,
-                "skipped_records": self.skipped_records,
-                "tasks": self.tasks,
-            },
-            indent=indent,
-        )
+        return json.dumps(asdict(self), indent=indent)

@@ -3,10 +3,12 @@
 One Master instance drives one job: it plans map tasks from the input's
 splits, assigns work to idle live nodes with locality preference, advances a
 logical tick per scheduling round, injects scripted node deaths between
-rounds, and applies the recovery rules when a node dies. Workers only talk
-back through TaskResult messages; a message whose attempt number no longer
-matches the task's is stale (the task was reverted meanwhile) and is
-dropped, which is what makes re-execution safe under any interleaving.
+rounds, and applies the recovery rules when a node dies. Which nodes are
+dead is read from the store's dead marker, the one record of node death,
+so a node killed by an earlier job on the same store gets no work. Workers
+only talk back through TaskResult messages; a message whose attempt number
+no longer matches the task's is stale (the task was reverted meanwhile) and
+is dropped, which is what makes re-execution safe under any interleaving.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from .errors import (
     UnknownInput,
 )
 from .executors import TaskResult, make_executor
-from .fault import FailurePlan, LivenessTracker, PlanExecution
+from .fault import FailurePlan, PlanExecution
 from .jobtypes import JobReport, JobSpec, JobState, Phase, RunOptions, TaskDescriptor, TaskState
 from .registry import is_combiner_safe, resolve
 from .schedule import plan_map_tasks, plan_reduce_tasks, schedule
@@ -75,18 +77,13 @@ class Master:
         self.events: list[dict] = []
         self.tick = 0
         self._busy: dict[int, tuple[str, int]] = {}  # node -> (task_id, attempt)
-        self._liveness = LivenessTracker(n, self.options.heartbeat_timeout_ticks)
-        for node in range(self.workers, n):
-            # storage-only nodes host no worker and never report; only
-            # worker nodes are subject to heartbeat timeouts
-            self._liveness.beats[node].timeout_ticks = None
         self._plan_exec = PlanExecution(self.plan)
         self._parts: dict[int, str] = {}
         self._captured: dict[int, list] = {}
         self._skipped: dict[str, int] = {}
         self._last_error: dict[str, str] = {}
         self._dispatches = {"map": 0, "reduce": 0}
-        self._re_executed = {"map": 0, "reduce": 0}
+        self._re_executed_maps = 0
 
     # -- public ------------------------------------------------------------
 
@@ -130,8 +127,6 @@ class Master:
         while True:
             for node in self._plan_exec.due_at_tick(self.tick):
                 self._kill(node)
-            for node in self._liveness.overdue(self.tick):
-                self._kill(node)
             for msg in executor.poll():
                 self._handle(msg)
             self._advance_phase()
@@ -164,7 +159,7 @@ class Master:
         idle = [
             n
             for n in range(self.workers)
-            if n not in self._busy and not self._liveness.is_dead(n)
+            if n not in self._busy and not self.cluster.is_node_dead(n)
         ]
         assignments = schedule(self._pending(), idle)
         for task, node in assignments:
@@ -175,7 +170,6 @@ class Master:
         task.state = TaskState.RUNNING
         task.assigned_node = node
         self._busy[node] = (task.task_id, task.attempt)
-        self._liveness.record(node, self.tick)
         self._dispatches[task.kind] += 1
         self._log("dispatch", task=task.task_id, attempt=task.attempt, node=node)
         payload = {
@@ -213,7 +207,6 @@ class Master:
     def _handle(self, msg: TaskResult) -> None:
         if msg.attempt < 0:  # executor-level failure, not tied to a task
             raise JobFailed(f"executor failure: {msg.error}")
-        self._liveness.record(msg.node, self.tick)
         if self._busy.get(msg.node) == (msg.task_id, msg.attempt):
             del self._busy[msg.node]
         task = self.state.task(msg.task_id)
@@ -249,7 +242,7 @@ class Master:
             lost = self.state.task(msg.shuffle_lost)
             if lost.state is TaskState.COMPLETED:
                 self._revert(lost)
-                self._re_executed["map"] += 1
+                self._re_executed_maps += 1
             self._revert(task)
             return
 
@@ -262,14 +255,12 @@ class Master:
         fault.revert(task, self.options.max_attempts, self._last_error.get(task.task_id))
 
     def _kill(self, node: int) -> None:
-        if self._liveness.is_dead(node):
+        if self.cluster.is_node_dead(node):
             return
         self._log("node_dead", node=node)
-        self._liveness.mark_dead(node)
         self.cluster.mark_node_dead(node)
         summary = fault.recover(self.state, node, self.options.max_attempts)
-        self._re_executed["map"] += len(summary.reverted_completed_maps)
-        self._re_executed["reduce"] += len(summary.reverted_completed_reduces)
+        self._re_executed_maps += len(summary.reverted_completed_maps)
         for task_id in summary.reverted_completed_maps:
             self._log("reexecute_completed_map", task=task_id)
         for task_id in summary.restarted_reduces:
@@ -313,8 +304,7 @@ class Master:
             parts=parts,
             map_tasks=len(self.state.map_tasks),
             reduce_tasks=len(self.state.reduce_tasks),
-            re_executed_completed_maps=self._re_executed["map"],
-            re_executed_completed_reduces=self._re_executed["reduce"],
+            re_executed_completed_maps=self._re_executed_maps,
             skipped_records=sum(self._skipped.values()),
             tasks=[
                 {

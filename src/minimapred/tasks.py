@@ -24,7 +24,7 @@ from typing import Callable, Iterable, Iterator
 
 from .dfs import Cluster, InputSplit
 from .errors import NotFound, ShuffleSourceLost, SkipRecord
-from .hashing import fnv1a64
+from .hashing import partition_for_key
 
 Pair = tuple[bytes, bytes]
 Group = tuple[bytes, list[bytes]]
@@ -143,7 +143,7 @@ def run_map_task(
         for k in sorted(d):
             p = part_cache.get(k)
             if p is None:
-                p = part_cache[k] = fnv1a64(k) % num_reducers
+                p = part_cache[k] = partition_for_key(k, num_reducers)
             keys[p].append(k)
         if combiner is None:
             return [((k, d[k]) for k in ks) if ks else () for ks in keys]

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from dataclasses import dataclass
 
 
 def split_lines(data: bytes) -> list[bytes]:
@@ -87,3 +88,54 @@ def parse_parts(cluster, part_paths: list[str]) -> dict[bytes, bytes]:
             assert k not in out, f"key {k!r} appears in more than one part"
             out[k] = v
     return out
+
+
+_FIELD_LIMITS = (16, 100, None, 64, 32, None)  # max chars per column
+
+
+@dataclass(frozen=True)
+class UserVisitRecord:
+    """One uservisits row, checked against the schema's column limits."""
+
+    source_ip: str
+    dest_ip: str
+    revenue: float
+    user_agent: str
+    search_word: str
+    duration: int
+
+    def __post_init__(self):
+        for value, limit in zip(
+            (self.source_ip, self.dest_ip, None, self.user_agent, self.search_word),
+            _FIELD_LIMITS,
+        ):
+            if limit is not None and len(value) > limit:
+                raise ValueError(f"field {value!r} exceeds {limit} chars")
+        if not (math.isfinite(self.revenue) and self.revenue >= 0):
+            raise ValueError(f"revenue {self.revenue!r} must be finite and >= 0")
+
+    def to_line(self) -> bytes:
+        return "|".join(
+            (
+                self.source_ip,
+                self.dest_ip,
+                f"{self.revenue:.2f}",
+                self.user_agent,
+                self.search_word,
+                str(self.duration),
+            )
+        ).encode()
+
+    @classmethod
+    def from_line(cls, line: bytes) -> "UserVisitRecord":
+        fields = line.decode().split("|")
+        if len(fields) != 6:
+            raise ValueError(f"expected 6 fields, got {len(fields)}")
+        return cls(
+            source_ip=fields[0],
+            dest_ip=fields[1],
+            revenue=float(fields[2]),
+            user_agent=fields[3],
+            search_word=fields[4],
+            duration=int(fields[5]),
+        )

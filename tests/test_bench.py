@@ -9,7 +9,6 @@ from minimapred.bench import (
     BenchRow,
     append_rows_csv,
     emit_plot_data,
-    generate_tokens,
     parse_size,
     read_rows_csv,
     run_matrix,
@@ -51,7 +50,7 @@ def test_token_lines_bounded_line_length():
 
 
 def test_generate_tokens_into_dfs(small_cluster):
-    meta = generate_tokens(small_cluster, "tok", 1000, vocab_size=10, seed=1)
+    meta = small_cluster.put_file("tok", token_lines(1000, vocab_size=10, seed=1))
     assert small_cluster.get_file("tok") == token_lines(1000, 10, 1)
     assert meta.size >= 1000
 

@@ -111,11 +111,19 @@ def test_fail_flag_increases_attempts(tmp_path, capsys):
     assert faulted["phase"] == "done"
     assert faulted["map_attempts"] > faulted["map_tasks"]
 
+    # node 1 stays dead on this store; a later job runs on the others
+    assert run_cli("job", "run", "wordcount", "--input", "tok", "--output", "o3",
+                   "--executor", "serial") == 0
+    later = json.loads(capsys.readouterr().out)
+    assert later["phase"] == "done"
+
     # identical output bytes despite the injected death
-    for p1, p2 in zip(clean["parts"], faulted["parts"]):
+    for p1, p2, p3 in zip(clean["parts"], faulted["parts"], later["parts"]):
         run_cli("dfs", "cat", p1)
         b1 = capsys.readouterr().out
         run_cli("dfs", "cat", p2)
+        assert b1 == capsys.readouterr().out
+        run_cli("dfs", "cat", p3)
         assert b1 == capsys.readouterr().out
 
 

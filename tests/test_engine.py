@@ -13,6 +13,7 @@ from minimapred import (
     ClusterConfig,
     InputSplit,
     InvalidConfig,
+    JobReport,
     JobSpec,
     RunOptions,
     TaskState,
@@ -614,6 +615,49 @@ def test_processes_require_disk_store(small_cluster):
     small_cluster.put_file("in", b"x\n")
     with pytest.raises(InvalidConfig):
         submit_job(small_cluster, wc_spec(), RunOptions(executor="processes"))
+
+
+def test_job_report_json_bytes():
+    report = JobReport(
+        job_id="wc", phase="done", map_attempts=3, reduce_attempts=2,
+        elapsed_ms=12.5, parts=["out/part-r-00000"], map_tasks=2, reduce_tasks=1,
+        re_executed_completed_maps=1, skipped_records=4,
+        tasks=[{"task_id": "map-1", "kind": "map", "state": "completed",
+                "attempt": 1, "node": 2}],
+    )
+    assert report.to_json() == (
+        '{"job_id": "wc", "phase": "done", "map_attempts": 3, "reduce_attempts": 2, '
+        '"elapsed_ms": 12.5, "parts": ["out/part-r-00000"], "map_tasks": 2, '
+        '"reduce_tasks": 1, "re_executed_completed_maps": 1, '
+        '"re_executed_completed_reduces": 0, "skipped_records": 4, "tasks": '
+        '[{"task_id": "map-1", "kind": "map", "state": "completed", "attempt": 1, '
+        '"node": 2}]}'
+    )
+    assert report.to_json(indent=2) == """\
+{
+  "job_id": "wc",
+  "phase": "done",
+  "map_attempts": 3,
+  "reduce_attempts": 2,
+  "elapsed_ms": 12.5,
+  "parts": [
+    "out/part-r-00000"
+  ],
+  "map_tasks": 2,
+  "reduce_tasks": 1,
+  "re_executed_completed_maps": 1,
+  "re_executed_completed_reduces": 0,
+  "skipped_records": 4,
+  "tasks": [
+    {
+      "task_id": "map-1",
+      "kind": "map",
+      "state": "completed",
+      "attempt": 1,
+      "node": 2
+    }
+  ]
+}"""
 
 
 @settings(max_examples=25, deadline=None)

@@ -18,9 +18,6 @@ from minimapred import (
     submit_job,
 )
 from minimapred.jobs import (
-    UserVisitRecord,
-    generate_uservisits,
-    tokenize,
     uservisits_combine,
     uservisits_lines,
     uservisits_map,
@@ -31,6 +28,7 @@ from minimapred.jobs import (
 )
 
 import oracles
+from oracles import UserVisitRecord
 from test_engine import random_tokens, wc_spec
 
 
@@ -53,8 +51,9 @@ def test_wordcount_map_per_occurrence():
 
 def test_tokenize_rules():
     # ASCII whitespace runs only; case kept; punctuation kept
-    assert tokenize(b"  Foo  foo\tbar. baz!  ") == [b"Foo", b"foo", b"bar.", b"baz!"]
-    assert tokenize(b"") == []
+    line = b"  Foo  foo\tbar. baz!  "
+    assert [k for k, _ in wordcount_map(0, line)] == [b"Foo", b"foo", b"bar.", b"baz!"]
+    assert wordcount_map(0, b"") == []
 
 
 def test_wordcount_reduce_sums():
@@ -160,7 +159,7 @@ def test_skipped_rows_counted_not_fatal(small_cluster):
 
 
 def test_generator_zero_rows(small_cluster):
-    meta = generate_uservisits(small_cluster, "uv", rows=0, seed=1)
+    meta = small_cluster.put_file("uv", uservisits_lines(0, seed=1))
     assert meta.size == 0
     assert small_cluster.get_file("uv") == b""
 
