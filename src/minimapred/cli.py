@@ -14,40 +14,14 @@ import uuid
 
 from . import bench
 from .dfs import Cluster, ClusterConfig
-from .errors import (
-    AlreadyExists,
-    InvalidConfig,
-    InvalidPlan,
-    JobFailed,
-    MiniMapRedError,
-    NotFound,
-    ReportError,
-    UnknownFunction,
-    UnknownInput,
-)
+from .errors import InvalidConfig, JobFailed, MiniMapRedError, ReportError
 from .fault import FailurePlan
 from .jobtypes import JobSpec, RunOptions
 from .master import submit_job
 
 DEFAULT_STORE = "./minimapred_store"
 
-_USAGE_ERRORS = (
-    InvalidConfig,
-    InvalidPlan,
-    NotFound,
-    AlreadyExists,
-    UnknownInput,
-    UnknownFunction,
-)
 _FAILURE_ERRORS = (JobFailed, ReportError)
-
-
-_CLUSTER_DEFAULTS = {
-    "num_nodes": 4,
-    "chunk_size": 16 << 20,
-    "replication": 2,
-    "seed": 42,
-}
 
 
 def _add_cluster_flags(p: argparse.ArgumentParser) -> None:
@@ -89,7 +63,7 @@ def _open_cluster(args) -> Cluster:
                 f"store at {root!r} uses {stored}; conflicting flags {conflicts}"
             )
         return cluster
-    return Cluster.open_disk(root, ClusterConfig(**{**_CLUSTER_DEFAULTS, **explicit}))
+    return Cluster.open_disk(root, ClusterConfig(**explicit))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -135,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-combiner", action="store_true",
                    help="disable the job's default combiner")
     p.add_argument("--combiner", default=None,
-                   help="explicit combiner id (e.g. uservisits.combine)")
+                   help="explicit combiner id (e.g. wordcount.combine)")
     p.add_argument("--job-id", default=None)
 
     p = sub.add_parser("bench", help="run and report scaling benchmarks")
@@ -266,13 +240,7 @@ def main(argv: list[str] | None = None) -> int:
     except _FAILURE_ERRORS as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
-    except _USAGE_ERRORS as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except MiniMapRedError as e:
+    except (MiniMapRedError, FileNotFoundError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

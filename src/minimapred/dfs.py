@@ -128,9 +128,6 @@ class MemoryStore:
         self._dead: set[int] = set()
         self._lock = threading.Lock()
 
-    def descriptor(self) -> None:
-        return None  # cannot be reopened in another process
-
     # liveness
     def mark_dead(self, node: int) -> None:
         with self._lock:
@@ -168,10 +165,6 @@ class MemoryStore:
     def list_metas(self) -> list[FileMeta]:
         return sorted(self._metas.values(), key=lambda m: m.path)
 
-    def delete_meta(self, file_id: str) -> None:
-        with self._lock:
-            self._metas.pop(file_id, None)
-
     # node-local data (map output runs); not replicated
     def open_local_write(self, node: int, name: str):
         store = self
@@ -196,7 +189,8 @@ class MemoryStore:
 
     def delete_local_tree(self, node: int, prefix: str) -> None:
         with self._lock:
-            for key in [k for k in self._local if k[0] == node and k[1].startswith(prefix)]:
+            for key in [k for k in self._local
+                        if k[0] == node and (k[1] == prefix or k[1].startswith(prefix + "/"))]:
                 del self._local[key]
 
 
@@ -204,17 +198,16 @@ class DiskStore:
     """On-disk store; layout is ``<root>/node<N>/<file_id>.<chunk_index>``
     for chunk replicas, ``<root>/meta/<file_id>.json`` for the catalog, and
     ``<root>/node<N>/local/...`` for node-local intermediate data. A
-    ``<root>/node<N>/DEAD`` marker makes every read from that node fail,
-    including from concurrently running worker processes."""
+    ``<root>/node<N>/DEAD`` marker records the node's death for every
+    handle, including those of concurrently running worker processes; the
+    store itself still serves the node's bytes, and ``Cluster`` and
+    ``shuffle_fetch`` check the marker before reading."""
 
     kind = "disk"
 
     def __init__(self, root: str):
         self.root = os.path.abspath(root)
         os.makedirs(os.path.join(self.root, "meta"), exist_ok=True)
-
-    def descriptor(self) -> dict:
-        return {"kind": "disk", "root": self.root}
 
     def _node_dir(self, node: int) -> str:
         return os.path.join(self.root, f"node{node}")
@@ -282,12 +275,6 @@ class DiskStore:
                     metas.append(FileMeta.from_json(f.read()))
         return sorted(metas, key=lambda m: m.path)
 
-    def delete_meta(self, file_id: str) -> None:
-        try:
-            os.remove(self._meta_path(file_id))
-        except FileNotFoundError:
-            pass
-
     # node-local data
     def _local_path(self, node: int, name: str) -> str:
         return os.path.join(self._node_dir(node), "local", *name.split("/"))
@@ -328,12 +315,6 @@ class DiskStore:
             shutil.rmtree(path, ignore_errors=True)
 
 
-def open_store(descriptor: dict | None):
-    if descriptor is None or descriptor.get("kind") != "disk":
-        raise InvalidConfig("only disk-backed stores can be reopened from a descriptor")
-    return DiskStore(descriptor["root"])
-
-
 # ---------------------------------------------------------------------------
 # Cluster: config + store + liveness
 
@@ -342,7 +323,11 @@ _CONFIG_FILE = "cluster.json"
 
 
 class Cluster:
-    """A simulated cluster: storage nodes plus the file catalog."""
+    """A simulated cluster: storage nodes plus the file catalog.
+
+    Task payloads carry the cluster itself. Thread workers share the
+    object; a disk-backed cluster pickles as its config and store root, so
+    a worker process reopens the same files."""
 
     def __init__(self, config: ClusterConfig, store=None):
         self.config = config
@@ -374,19 +359,6 @@ class Cluster:
             with open(cfg_path, "w") as f:
                 json.dump(config.to_dict(), f)
         return cls(config, DiskStore(root))
-
-    def descriptor(self) -> dict:
-        d = self.store.descriptor()
-        if d is None:
-            return {"kind": "memory", "cluster": self}
-        d["config"] = self.config.to_dict()
-        return d
-
-    @classmethod
-    def from_descriptor(cls, desc: dict) -> "Cluster":
-        if desc.get("kind") == "memory":
-            return desc["cluster"]
-        return cls(ClusterConfig(**desc["config"]), open_store(desc))
 
     # -- liveness ----------------------------------------------------------
 

@@ -8,8 +8,11 @@ so the same scheduling loop drives three backends:
 - threads: a thread pool. Shares the in-memory store; no real CPU speedup
   under the GIL.
 - processes: a process pool for genuine parallelism. Requires a disk-backed
-  store so workers and master see the same bytes; payloads carry a store
-  descriptor instead of live objects.
+  store so workers and master see the same bytes; the payload's cluster
+  pickles as its config and store root, and each worker reopens the files.
+
+Every payload carries the Cluster itself; serial and thread workers use the
+master's own object.
 """
 
 from __future__ import annotations
@@ -18,7 +21,6 @@ import queue
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
 
-from .dfs import Cluster
 from .errors import InvalidConfig, ShuffleSourceLost
 from .registry import resolve
 from .tasks import run_map_task, run_reduce_task
@@ -35,7 +37,6 @@ class TaskResult:
     locations: list[tuple[int, tuple[str, ...]]] | None = None
     skipped: int = 0
     part_path: str | None = None  # reduce
-    captured: list | None = None
     shuffle_lost: str | None = None  # map task whose runs were missing
     error: str | None = None
 
@@ -49,7 +50,7 @@ def execute_task(payload: dict) -> TaskResult:
         kind=payload["kind"],
     )
     try:
-        cluster = Cluster.from_descriptor(payload["cluster"])
+        cluster = payload["cluster"]
         if payload["kind"] == "map":
             locations, skipped = run_map_task(
                 cluster,
@@ -64,15 +65,14 @@ def execute_task(payload: dict) -> TaskResult:
                 payload["spill_pairs"],
             )
             return TaskResult(ok=True, locations=locations, skipped=skipped, **base)
-        part, captured = run_reduce_task(
+        part = run_reduce_task(
             cluster,
             payload["partition"],
             resolve(payload["reducer_id"]),
             payload["sources"],
             payload["output_path"],
-            capture=payload["capture"],
         )
-        return TaskResult(ok=True, part_path=part, captured=captured, **base)
+        return TaskResult(ok=True, part_path=part, **base)
     except ShuffleSourceLost as e:
         return TaskResult(ok=False, shuffle_lost=e.map_task_id, error=str(e), **base)
     except Exception as e:  # noqa: BLE001 - task failures go back to the master
@@ -143,23 +143,13 @@ class _PoolExecutor:
         self._pool.shutdown(wait=True)
 
 
-class ThreadExecutor(_PoolExecutor):
-    def __init__(self, workers: int):
-        super().__init__(ThreadPoolExecutor(max_workers=workers))
-
-
-class ProcessExecutor(_PoolExecutor):
-    def __init__(self, workers: int):
-        super().__init__(ProcessPoolExecutor(max_workers=workers))
-
-
 def make_executor(name: str, workers: int, store_kind: str):
     if name == "serial":
         return SerialExecutor(workers)
     if name == "threads":
-        return ThreadExecutor(workers)
+        return _PoolExecutor(ThreadPoolExecutor(max_workers=workers))
     if name == "processes":
         if store_kind != "disk":
             raise InvalidConfig("process workers require a disk-backed store")
-        return ProcessExecutor(workers)
+        return _PoolExecutor(ProcessPoolExecutor(max_workers=workers))
     raise InvalidConfig(f"unknown executor {name!r}; use serial, threads or processes")

@@ -74,12 +74,6 @@ def uservisits_reduce(key: bytes, values: list[bytes]) -> list[tuple[bytes, byte
     return [(key, repr(total).encode())]
 
 
-# Partial sums reorder float additions, so a combined run is only equal to
-# the uncombined one up to rounding; this combiner is opt-in "approximate"
-# mode and is not set on uservisits jobs by default.
-uservisits_combine = uservisits_reduce
-
-
 # ---------------------------------------------------------------------------
 # synthetic uservisits data
 
@@ -113,4 +107,3 @@ register("wordcount.reduce", wordcount_reduce)
 register("wordcount.combine", wordcount_combine, combiner_safe=True)
 register("uservisits.map", uservisits_map)
 register("uservisits.reduce", uservisits_reduce)
-register("uservisits.combine", uservisits_combine, combiner_safe=True)

@@ -84,13 +84,13 @@ class JobState:
 
 @dataclass
 class RunOptions:
-    """Execution knobs independent of the job itself."""
+    """Execution knobs independent of the job itself; none of them changes
+    the part bytes of a job that completes."""
 
     workers: int | None = None  # default: one worker per node
     executor: str = "threads"  # "serial" | "threads" | "processes"
     max_attempts: int = MAX_TASK_ATTEMPTS
     spill_pairs: int = 512 * 1024  # map-side buffered pairs before a spill
-    capture_reduce_inputs: bool = False  # debug: record pairs fed to reducers
     keep_intermediate: bool = False
 
 

@@ -33,13 +33,14 @@ from .schedule import plan_map_tasks, plan_reduce_tasks, schedule
 
 @dataclass
 class RunResult:
-    """Full outcome of a job run, for tests and tooling; submit_job returns
-    only the report."""
+    """Full outcome of a job run: the report, the final task states and the
+    master's event log; submit_job returns only the report. Reducer inputs
+    are not recorded: a caller that needs them registers a reducer that
+    records its arguments."""
 
     report: JobReport
     state: JobState
     events: list[dict] = field(default_factory=list)
-    reduce_inputs: dict[int, list] = field(default_factory=dict)
 
 
 class Master:
@@ -79,7 +80,6 @@ class Master:
         self._busy: dict[int, tuple[str, int]] = {}  # node -> (task_id, attempt)
         self._plan_exec = PlanExecution(self.plan)
         self._parts: dict[int, str] = {}
-        self._captured: dict[int, list] = {}
         self._skipped: dict[str, int] = {}
         self._last_error: dict[str, str] = {}
         self._dispatches = {"map": 0, "reduce": 0}
@@ -119,7 +119,7 @@ class Master:
                     )
 
         report = self._report(started)
-        return RunResult(report, self.state, self.events, self._captured)
+        return RunResult(report, self.state, self.events)
 
     # -- scheduling loop ----------------------------------------------------
 
@@ -173,7 +173,7 @@ class Master:
         self._dispatches[task.kind] += 1
         self._log("dispatch", task=task.task_id, attempt=task.attempt, node=node)
         payload = {
-            "cluster": self.cluster.descriptor(),
+            "cluster": self.cluster,
             "job_id": self.spec.job_id,
             "task_id": task.task_id,
             "attempt": task.attempt,
@@ -198,7 +198,6 @@ class Master:
                     for m in self.state.map_tasks
                 ],
                 output_path=self.spec.output_path,
-                capture=self.options.capture_reduce_inputs,
             )
         executor.submit(node, payload)
 
@@ -231,8 +230,6 @@ class Master:
                 self._skipped[task.task_id] = msg.skipped
             else:
                 self._parts[task.payload] = msg.part_path
-                if msg.captured is not None:
-                    self._captured[task.payload] = msg.captured
             for node in self._plan_exec.due_after_task(task.task_id):
                 self._kill(node)
             return
@@ -326,7 +323,7 @@ def run_job(
     failure_plan: FailurePlan | None = None,
 ) -> RunResult:
     """Run a job and return the full result (report, final task states,
-    event log, captured reducer inputs)."""
+    event log)."""
     return Master(cluster, spec, options, failure_plan).run()
 
 

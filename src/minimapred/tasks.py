@@ -256,23 +256,10 @@ def run_reduce_task(
     reducer: Callable,
     sources: list[tuple[int, str, int, tuple[str, ...]]],
     output_path: str,
-    capture: bool = False,
-) -> tuple[str, list[Pair] | None]:
+) -> str:
     """Merge this partition's runs, reduce each key group in key order, and
-    write the part file to the DFS."""
-    stream = shuffle_fetch(cluster, partition_index, sources)
-    captured: list[Pair] | None = None
-    if capture:
-        captured = []
-        stream = _capturing(stream, captured)
+    write the part file to the DFS; returns the part's path."""
     out: list[Pair] = []
-    for key, values in group_by_key(stream):
+    for key, values in group_by_key(shuffle_fetch(cluster, partition_index, sources)):
         out.extend(reducer(key, values))
-    part = cluster.write_output(output_path, partition_index, out)
-    return part, captured
-
-
-def _capturing(stream: Iterable[Group], into: list[Pair]) -> Iterator[Group]:
-    for key, values in stream:
-        into.extend((key, v) for v in values)
-        yield key, values
+    return cluster.write_output(output_path, partition_index, out)

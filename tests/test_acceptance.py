@@ -222,7 +222,7 @@ def test_criterion_6_split_integrity():
             )
 
 
-def test_criterion_7_shuffle_exactly_once():
+def test_criterion_7_shuffle_exactly_once(recording_reducer):
     with _budget(7, 60, "100 random jobs: map emissions == pooled reducer inputs"):
         rng = random.Random(7)
         for trial in range(100):
@@ -243,21 +243,18 @@ def test_criterion_7_shuffle_exactly_once():
                               replication=2, seed=trial)
             )
             cluster.put_file("in", data)
+            reducer_id, reducer_inputs = recording_reducer(
+                mapper_id.split(".")[0] + ".reduce")
             spec = JobSpec(
                 job_id=f"t{trial}",
                 input_path="in",
                 output_path="out",
                 mapper_id=mapper_id,
-                reducer_id=mapper_id.split(".")[0] + ".reduce",
+                reducer_id=reducer_id,
                 num_reducers=rng.randrange(1, 5),
             )
-            res = run_job(
-                cluster, spec,
-                RunOptions(executor="serial", capture_reduce_inputs=True),
-            )
-            pooled = Counter(
-                pair for pairs in res.reduce_inputs.values() for pair in pairs
-            )
+            res = run_job(cluster, spec, RunOptions(executor="serial"))
+            pooled = Counter(reducer_inputs)
             expected = Counter()
             from minimapred.errors import SkipRecord
 

@@ -7,7 +7,6 @@ from minimapred.bench import (
     CSV_COLUMNS,
     BenchMatrix,
     BenchRow,
-    append_rows_csv,
     emit_plot_data,
     parse_size,
     read_rows_csv,

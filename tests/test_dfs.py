@@ -414,6 +414,20 @@ def test_disk_dead_marker_visible_to_new_handles(tmp_path):
     assert b.get_file("f") == b"data"  # replica on node 1 still serves
 
 
+@pytest.mark.parametrize("kind", ["memory", "disk"])
+def test_delete_local_tree_spares_sibling_prefixes(kind, tmp_path):
+    store = MemoryStore() if kind == "memory" else DiskStore(str(tmp_path / "s"))
+    for name in ("runs/wc2/x", "runs/wc/x"):
+        sink = store.open_local_write(0, name)
+        sink.write(name.encode())
+        sink.close()
+    store.delete_local_tree(0, "runs/wc")
+    with store.open_local_read(0, "runs/wc2/x") as f:
+        assert f.read() == b"runs/wc2/x"
+    with pytest.raises(NotFound):
+        store.open_local_read(0, "runs/wc/x")
+
+
 def test_disk_local_writers_of_one_name_do_not_share_a_temp_file(tmp_path):
     store = Cluster.open_disk(str(tmp_path / "s"),
                               ClusterConfig(num_nodes=2, chunk_size=32,

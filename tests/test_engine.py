@@ -4,6 +4,7 @@ import io
 import itertools
 import os
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -430,13 +431,13 @@ def test_group_by_key_rejects_unsorted_stream():
 def test_reduce_task_writes_part(small_cluster):
     c = small_cluster
     _put_run(c, 0, "r", [(b"a", [b"1"]), (b"a", [b"2"])])
-    part, _ = run_reduce_task(c, 0, wordcount_reduce, [(0, "map-0", 0, ("r",))], "out")
+    part = run_reduce_task(c, 0, wordcount_reduce, [(0, "map-0", 0, ("r",))], "out")
     assert part == "out/part-r-00000"
     assert c.get_file(part) == b"a\t3\n"
 
 
 def test_reduce_task_zero_groups_empty_part(small_cluster):
-    part, _ = run_reduce_task(small_cluster, 1, wordcount_reduce, [], "out")
+    part = run_reduce_task(small_cluster, 1, wordcount_reduce, [], "out")
     assert small_cluster.get_file("out/part-r-00001") == b""
 
 
@@ -568,15 +569,13 @@ def test_phase_barrier_no_reduce_before_maps_done(small_cluster):
     assert first_reduce_dispatch > maps_done_at
 
 
-def test_exactly_once_capture_matches_mapper_emissions(small_cluster):
+def test_exactly_once_capture_matches_mapper_emissions(small_cluster, recording_reducer):
     data = random_tokens(17)
     small_cluster.put_file("in", data)
-    res = run_job(
-        small_cluster,
-        wc_spec(combiner=False, reducers=3),
-        RunOptions(executor="serial", capture_reduce_inputs=True),
-    )
-    pooled = sorted(pair for pairs in res.reduce_inputs.values() for pair in pairs)
+    reducer_id, reducer_inputs = recording_reducer("wordcount.reduce")
+    spec = replace(wc_spec(combiner=False, reducers=3), reducer_id=reducer_id)
+    submit_job(small_cluster, spec, RunOptions(executor="serial"))
+    pooled = sorted(reducer_inputs)
     expected = sorted(
         pair
         for offset, line in oracles.records_with_offsets(data)

@@ -1,7 +1,6 @@
 """The built-in wordcount and uservisits jobs."""
 
 import math
-import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,12 +12,12 @@ from minimapred import (
     JobSpec,
     RunOptions,
     SkipRecord,
+    UnknownFunction,
     register,
     run_job,
     submit_job,
 )
 from minimapred.jobs import (
-    uservisits_combine,
     uservisits_lines,
     uservisits_map,
     uservisits_reduce,
@@ -204,19 +203,12 @@ def test_uservisits_pipeline_matches_oracle(small_cluster):
 
 
 def test_uservisits_approximate_combiner_within_tolerance():
-    data = uservisits_lines(400, seed=8)
-    results = {}
-    for combiner in (None, "uservisits.combine"):
-        c = Cluster(ClusterConfig(num_nodes=4, chunk_size=256, replication=2, seed=2))
-        c.put_file("in", data)
-        report = submit_job(c, uv_spec(combiner=combiner),
-                            RunOptions(executor="serial"))
-        results[combiner] = {
-            k: float(v) for k, v in oracles.parse_parts(c, report.parts).items()}
-    exact, approx = results[None], results["uservisits.combine"]
-    assert exact.keys() == approx.keys()
-    for k in exact:
-        assert approx[k] == pytest.approx(exact[k], rel=1e-9)
+    # partial float sums would change the part bytes, so uservisits has no
+    # combiner and the id is refused
+    c = Cluster(ClusterConfig(num_nodes=4, chunk_size=256, replication=2, seed=2))
+    c.put_file("in", uservisits_lines(40, seed=8))
+    with pytest.raises(UnknownFunction):
+        submit_job(c, uv_spec(combiner="uservisits.combine"), RunOptions(executor="serial"))
 
 
 def test_wordcount_pipeline_matches_oracle_quarter_mb():
