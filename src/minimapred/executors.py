@@ -22,7 +22,7 @@ from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .errors import InvalidConfig, ShuffleSourceLost
-from .registry import resolve
+from .registry import resolve, resolve_split
 from .tasks import run_map_task, run_reduce_task
 
 
@@ -63,6 +63,7 @@ def execute_task(payload: dict) -> TaskResult:
                 resolve(payload["combiner_id"]) if payload["combiner_id"] else None,
                 payload["num_reducers"],
                 payload["spill_pairs"],
+                resolve_split(payload["mapper_id"]),
             )
             return TaskResult(ok=True, locations=locations, skipped=skipped, **base)
         part = run_reduce_task(

@@ -1,15 +1,21 @@
 """The two built-in jobs: word frequency counting and per-source-IP revenue
 aggregation over pipe-delimited user-visit records.
 
-Mappers take (byte offset, line bytes) and return a list of (key, value)
-byte pairs; reducers and combiners take (key, ordered value list) and return
-a list of output pairs. Counts are serialized as decimal text, revenue sums
-as shortest round-trip decimals, so outputs are byte-reproducible.
+Record mappers take (byte offset, line bytes) and return a list of (key,
+value) byte pairs; reducers and combiners take (key, ordered value list) and
+return a list of output pairs. ``wordcount.map`` also has a split form,
+which takes the split's whole (offset, line) iterator and the job's combiner
+and yields (key, values) groups, under the contract in ``registry``. Counts
+are serialized as decimal text, revenue sums as shortest round-trip
+decimals, so outputs are byte-reproducible.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
+from itertools import chain
+from typing import Callable, Iterable, Iterator
 
 from .errors import SkipRecord
 from .registry import register
@@ -41,6 +47,22 @@ def wordcount_reduce(key: bytes, values: list[bytes]) -> list[tuple[bytes, bytes
 # summing integer counts is associative and commutative, so the reducer
 # doubles as the combiner
 wordcount_combine = wordcount_reduce
+
+
+def wordcount_split_map(
+    records: Iterable[tuple[int, bytes]], combiner: Callable | None
+) -> Iterator[tuple[bytes, list[bytes]]]:
+    """Split form of ``wordcount_map``: count the whole split's tokens at
+    once (in-mapper combining), then yield one group per distinct token,
+    its count pre-combined if the combiner is ``wordcount_combine``.
+
+    The counts span the whole split: in a block of a few KiB almost every
+    token is new, so counting per block saves little. The groups are
+    yielded lazily, so no more of them is alive than the buffer holds."""
+    counts = Counter(chain.from_iterable(line.split() for _, line in records))
+    if combiner is wordcount_combine:
+        return ((k, [str(n).encode()]) for k, n in counts.items())
+    return ((k, [ONE] * n) for k, n in counts.items())
 
 
 # ---------------------------------------------------------------------------
@@ -102,7 +124,7 @@ def uservisits_lines(rows: int, seed: int) -> bytes:
 
 # ---------------------------------------------------------------------------
 
-register("wordcount.map", wordcount_map)
+register("wordcount.map", wordcount_map, split=wordcount_split_map)
 register("wordcount.reduce", wordcount_reduce)
 register("wordcount.combine", wordcount_combine, combiner_safe=True)
 register("uservisits.map", uservisits_map)

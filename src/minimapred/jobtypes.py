@@ -10,6 +10,7 @@ from .dfs import InputSplit
 from .errors import InvalidConfig
 
 MAX_TASK_ATTEMPTS = 4
+SPILL_PAIRS = 512 * 1024  # default map-side buffered values before a spill
 
 
 @dataclass(frozen=True)
@@ -90,8 +91,14 @@ class RunOptions:
     workers: int | None = None  # default: one worker per node
     executor: str = "threads"  # "serial" | "threads" | "processes"
     max_attempts: int = MAX_TASK_ATTEMPTS
-    spill_pairs: int = 512 * 1024  # map-side buffered pairs before a spill
+    # map-side buffered values before a spill: emitted pairs on the record
+    # path, and fewer where a split form pre-combines a key's values
+    spill_pairs: int = SPILL_PAIRS
     keep_intermediate: bool = False
+
+    def __post_init__(self):
+        if self.spill_pairs < 1:
+            raise InvalidConfig(f"spill_pairs must be >= 1, got {self.spill_pairs}")
 
 
 @dataclass

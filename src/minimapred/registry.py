@@ -3,6 +3,24 @@
 Jobs reference functions by string id so task payloads stay picklable for
 process-based workers. Combiners must be declared associative and
 commutative; the engine refuses undeclared ones.
+
+A mapper id may also carry a *split form*, which the engine runs instead
+of calling the record mapper once per record. It is called as
+``split(records, combiner)``, where ``records`` is the split's
+``(offset, line)`` iterator and ``combiner`` is the job's resolved
+combiner or None, and it yields ``(key, values)`` groups:
+
+- keys may come in any order, and may repeat; every ``values`` list is
+  non-empty and new, because the engine takes ownership of it;
+- the values of a key, joined across its groups in order, are exactly
+  the record mapper's emissions for that key, in emission order;
+- the one exception: a split form may replace a key's values with the
+  values of ``combiner(key, values)``, but only for a combiner it knows
+  exactly (compare it by identity), so any other combiner still sees the
+  raw values.
+
+A split form cannot skip records, so mappers that raise SkipRecord keep
+only their record form. The record mapper stays the mapper's definition.
 """
 
 from __future__ import annotations
@@ -13,12 +31,25 @@ from .errors import UnknownFunction
 
 _functions: dict[str, Callable] = {}
 _combiner_ok: set[str] = set()
+_split_forms: dict[str, Callable] = {}
 
 
-def register(fn_id: str, fn: Callable, combiner_safe: bool = False) -> None:
+def register(fn_id: str, fn: Callable, combiner_safe: bool = False,
+             split: Callable | None = None) -> None:
+    """Register ``fn`` under ``fn_id``, replacing whatever the id had.
+
+    ``split`` is an optional split form of a record mapper ``fn``, held to
+    the contract in this module's docstring.
+    """
     _functions[fn_id] = fn
     if combiner_safe:
         _combiner_ok.add(fn_id)
+    else:
+        _combiner_ok.discard(fn_id)
+    if split is None:
+        _split_forms.pop(fn_id, None)
+    else:
+        _split_forms[fn_id] = split
 
 
 def resolve(fn_id: str) -> Callable:
@@ -27,6 +58,12 @@ def resolve(fn_id: str) -> Callable:
         return _functions[fn_id]
     except KeyError:
         raise UnknownFunction(f"function id {fn_id!r} is not registered") from None
+
+
+def resolve_split(fn_id: str) -> Callable | None:
+    """The split form registered with mapper ``fn_id``, or None."""
+    _ensure_builtins()
+    return _split_forms.get(fn_id)
 
 
 def is_combiner_safe(fn_id: str) -> bool:

@@ -6,8 +6,12 @@ of key groups. A group record is a ``<II`` header (key length, value
 count), the key, the value lengths as little-endian u32, then the values;
 adjacent records may repeat a key. A map task buffers values per key and
 writes one run of sorted groups per partition at ``spill_pairs`` buffered
-pairs (a spill) and at the end (the final run), applying the combiner, if
-any, once per key at each write. Its spills and final run are its output:
+values (a spill) and at the end (the final run), applying the combiner, if
+any, once per key at each write. The buffer is filled either by calling
+the record mapper per record, with the spill check after each record, or,
+where the mapper id has a split form (see ``registry``), by extending it
+with the split form's key groups, with the spill check after each group.
+Its spills and final run are its output:
 the only merge is the reducer's k-way merge over every run of every map
 task, where ties on equal keys break by map task index, then spill index,
 then emission order, which makes reducer input fully deterministic.
@@ -25,6 +29,7 @@ from typing import Callable, Iterable, Iterator
 from .dfs import Cluster, InputSplit
 from .errors import NotFound, ShuffleSourceLost, SkipRecord
 from .hashing import partition_for_key
+from .jobtypes import SPILL_PAIRS
 
 Pair = tuple[bytes, bytes]
 Group = tuple[bytes, list[bytes]]
@@ -112,18 +117,27 @@ def run_map_task(
     mapper: Callable,
     combiner: Callable | None,
     num_reducers: int,
-    spill_pairs: int = 512 * 1024,
+    spill_pairs: int = SPILL_PAIRS,
+    split_mapper: Callable | None = None,
 ) -> tuple[list[tuple[int, tuple[str, ...]]], int]:
     """Apply the mapper to every record of the split and leave key-sorted
     runs for each partition on the executing node's local store.
 
     Values are buffered per key in emission order, and keys are assigned
     to partitions when the buffer is written: at ``spill_pairs`` buffered
-    pairs as one sorted spill run ``<run>.spill<i>`` per non-empty
-    partition, so memory stays O(spill_pairs), and at the end as the final
-    run ``run_name(...)`` of every partition, empty or not. The combiner,
-    if any, is applied once per key at each write.
-    Records that the mapper rejects with SkipRecord are counted, not fatal.
+    values as one sorted spill run ``<run>.spill<i>`` per non-empty
+    partition, and at the end as the final run ``run_name(...)`` of every
+    partition, empty or not. The combiner, if any, is applied once per key
+    at each write.
+
+    Without ``split_mapper``, ``mapper`` is called per record and the spill
+    check follows each record, so memory stays O(spill_pairs). Records that
+    the mapper rejects with SkipRecord are counted, not fatal. With
+    ``split_mapper``, the mapper's split form, it is called once on the
+    split's records and the combiner, and the buffer takes each key group
+    it yields, with the spill check after each group; memory is then
+    O(distinct keys of the split), which the split form may hold, plus the
+    spill buffer.
     Returns (per-partition (node, run names) locations, skipped records);
     the names are in spill order, which is emission order, final run last.
     """
@@ -157,26 +171,42 @@ def run_map_task(
         finally:
             sink.close()
 
-    for offset, line in cluster.read_split(split):
-        try:
-            pairs = mapper(offset, line)
-        except SkipRecord:
-            skipped += 1
-            continue
-        for k, v in pairs:
+    def spill() -> None:
+        for p, run in enumerate(drain()):
+            if run:
+                name = f"{run_name(job_id, task_id, attempt, p)}.spill{len(spills[p])}"
+                write(name, run)
+                spills[p].append(name)
+
+    records = cluster.read_split(split)
+    if split_mapper is not None:
+        for k, values in split_mapper(records, combiner):
             vals = buffer.get(k)
             if vals is None:
-                buffer[k] = [v]
+                buffer[k] = values
             else:
-                vals.append(v)
-            buffered += 1
-        if buffered >= spill_pairs:
-            for p, run in enumerate(drain()):
-                if run:
-                    name = f"{run_name(job_id, task_id, attempt, p)}.spill{len(spills[p])}"
-                    write(name, run)
-                    spills[p].append(name)
-            buffered = 0
+                vals.extend(values)
+            buffered += len(values)
+            if buffered >= spill_pairs:
+                spill()
+                buffered = 0
+    else:
+        for offset, line in records:
+            try:
+                pairs = mapper(offset, line)
+            except SkipRecord:
+                skipped += 1
+                continue
+            for k, v in pairs:
+                vals = buffer.get(k)
+                if vals is None:
+                    buffer[k] = [v]
+                else:
+                    vals.append(v)
+                buffered += 1
+            if buffered >= spill_pairs:
+                spill()
+                buffered = 0
 
     locations = []
     for p, run in enumerate(drain()):

@@ -34,7 +34,15 @@ from minimapred.tasks import (
     shuffle_fetch,
     write_run,
 )
-from minimapred.jobs import wordcount_combine, wordcount_map, wordcount_reduce
+from minimapred.errors import SkipRecord
+from minimapred.jobs import (
+    wordcount_combine,
+    wordcount_map,
+    wordcount_reduce,
+    wordcount_split_map,
+)
+from minimapred.jobtypes import SPILL_PAIRS
+from minimapred.registry import resolve_split
 
 import oracles
 
@@ -204,6 +212,15 @@ def read_run_groups(cluster, node, names):
     return sorted(groups, key=lambda g: g[0])
 
 
+def run_bytes(cluster, node, names):
+    """The raw bytes of each of a map task's runs for one partition."""
+    out = []
+    for name in names:
+        with cluster.store.open_local_read(node, name) as f:
+            out.append(f.read())
+    return out
+
+
 def read_run_pairs(cluster, node, names):
     """A map task's runs for one partition, merged in spill order and
     expanded back to (key, value) pairs."""
@@ -336,6 +353,98 @@ def test_map_task_runs_and_parts_hold_under_spills(records, spill_pairs, reducer
     expected = [b"".join(k + b"\t" + b",".join(values[k]) + b"\n" for k in part_keys)
                 for part_keys in keys]
     assert job_parts(spill_pairs) == job_parts(10**9) == expected
+
+
+def _emissions_split(records, combiner):
+    """Split form of ``_emissions_map`` that yields each record's pairs
+    grouped by key, so a key's groups repeat across records."""
+    del combiner
+    for offset, line in records:
+        groups: dict[bytes, list[bytes]] = {}
+        for k, v in _emissions_map(offset, line):
+            groups.setdefault(k, []).append(v)
+        yield from groups.items()
+
+
+@settings(max_examples=40, deadline=None)
+@given(records=_records,
+       spill_pairs=st.one_of(st.integers(1, 20), st.integers(1, 10**9)),
+       reducers=st.integers(1, 3))
+def test_split_form_groups_extend_the_buffer_in_emission_order(records, spill_pairs, reducers):
+    data = b"".join(b" ".join(k + b"=" + v for k, v in r) + b"\n" for r in records)
+
+    def map_runs(split_mapper):
+        c, split = _single_line_cluster(data)
+        locations, _ = run_map_task(c, "j", "map-0", 0, 0, split, _emissions_map, None,
+                                    reducers, spill_pairs, split_mapper)
+        raw = [run_bytes(c, node, names) for node, names in locations]
+        grouped = [list(group_by_key(read_run_groups(c, node, names)))
+                   for node, names in locations]
+        return raw, grouped
+
+    record_raw, record_grouped = map_runs(None)
+    split_raw, split_grouped = map_runs(_emissions_split)
+    assert split_grouped == record_grouped
+    if spill_pairs > sum(map(len, records)):  # neither side spilled
+        assert split_raw == record_raw
+
+
+# the record form alone, so jobs on this id run the per-record path
+register("wordcount_record.map", wordcount_map)
+
+_token_lines = st.lists(
+    st.lists(st.tuples(st.sampled_from([b"", b" ", b"\t", b"\r", b"  \t"]),
+                       st.sampled_from([b"a", b"b", b"ab", b"\xc3\xa9", b"\xff", b"x\x00y"])),
+             max_size=8),
+    min_size=1, max_size=30,
+)
+_combiners = {None: None, "wordcount.combine": wordcount_combine, "emissions.join": _join_values}
+
+
+@settings(max_examples=80, deadline=None)
+@given(lines=_token_lines, combiner_id=st.sampled_from(sorted(_combiners, key=str)),
+       spill_pairs=st.one_of(st.integers(1, 20), st.integers(1, 10**9)),
+       reducers=st.integers(1, 3))
+def test_wordcount_split_form_matches_record_form(lines, combiner_id, spill_pairs, reducers):
+    # empty lines, repeated tokens, tabs, \r and non-ASCII bytes
+    data = b"".join(b"".join(sep + tok for sep, tok in line) + b"\n" for line in lines)
+    combiner = _combiners[combiner_id]
+
+    def map_runs(split_mapper):
+        c, split = _single_line_cluster(data)
+        written = []
+        open_write = c.store.open_local_write
+        c.store.open_local_write = lambda node, name: written.append(name) or open_write(node, name)
+        locations, skipped = run_map_task(c, "j", "map-0", 0, 0, split, wordcount_map,
+                                          combiner, reducers, spill_pairs, split_mapper)
+        assert skipped == 0
+        raw = [run_bytes(c, node, names) for node, names in locations]
+        # each key's values as one list; a combiner may have pre-combined
+        # them differently on either side, so apply it once more
+        finish = combiner or _join_values
+        grouped = [[(k, finish(k, vs)) for k, vs in group_by_key(read_run_groups(c, node, names))]
+                   for node, names in locations]
+        return any(".spill" in n for n in written), raw, grouped
+
+    spilled, record_raw, record_grouped = map_runs(None)
+    split_spilled, split_raw, split_grouped = map_runs(wordcount_split_map)
+    if not spilled and not split_spilled:
+        assert split_raw == record_raw
+    assert split_grouped == record_grouped
+
+    # a job whose combiner joins values must reduce by joining too
+    reducer_id = "emissions.join" if combiner_id == "emissions.join" else "wordcount.reduce"
+
+    def job_parts(mapper_id):
+        c = Cluster(ClusterConfig(num_nodes=3, chunk_size=64, replication=1, seed=1))
+        c.put_file("in", data)
+        spec = JobSpec(job_id="wc", input_path="in", output_path="out",
+                       mapper_id=mapper_id, reducer_id=reducer_id,
+                       combiner_id=combiner_id, num_reducers=reducers)
+        report = submit_job(c, spec, RunOptions(executor="serial", spill_pairs=spill_pairs))
+        return [c.get_file(part) for part in report.parts]
+
+    assert job_parts("wordcount.map") == job_parts("wordcount_record.map")
 
 
 # ---------------------------------------------------------------------------
@@ -600,6 +709,65 @@ def test_undeclared_combiner_rejected(small_cluster):
     spec = JobSpec(job_id="j", input_path="in", output_path="o",
                    mapper_id="wordcount.map", reducer_id="wordcount.reduce",
                    combiner_id="sneaky.combine")
+    with pytest.raises(InvalidConfig):
+        submit_job(small_cluster, spec, RunOptions(executor="serial"))
+
+
+def test_spill_pairs_below_one_rejected():
+    for bad in (0, -5):
+        with pytest.raises(InvalidConfig, match="spill_pairs"):
+            RunOptions(spill_pairs=bad)
+    assert RunOptions(spill_pairs=1).spill_pairs == 1
+    assert RunOptions().spill_pairs == SPILL_PAIRS
+    assert run_map_task.__defaults__[0] == SPILL_PAIRS
+
+
+def test_wordcount_job_runs_the_split_form(small_cluster):
+    assert resolve_split("wordcount.map") is wordcount_split_map
+    calls = {"record": 0, "split": 0}
+
+    def record_form(offset, line):
+        calls["record"] += 1
+        return wordcount_map(offset, line)
+
+    def split_form(records, combiner):
+        calls["split"] += 1
+        return wordcount_split_map(records, combiner)
+
+    register("counted.map", record_form, split=split_form)
+    data = random_tokens(17)
+    small_cluster.put_file("in", data)
+    spec = replace(wc_spec(), mapper_id="counted.map")
+    res = run_job(small_cluster, spec, RunOptions(executor="serial"))
+    assert calls == {"record": 0, "split": res.report.map_tasks}
+    assert res.report.map_tasks > 1
+    got = oracles.parse_parts(small_cluster, res.report.parts)
+    assert got == {k: str(v).encode() for k, v in oracles.wordcount(data).items()}
+
+
+def test_mapper_without_split_form_runs_per_record(small_cluster):
+    def comment_skipping_map(offset, line):
+        if line.startswith(b"#"):
+            raise SkipRecord("comment")
+        return wordcount_map(offset, line)
+
+    register("commented.map", wordcount_map, split=wordcount_split_map)
+    register("commented.map", comment_skipping_map)  # re-registering drops the split form
+    assert resolve_split("commented.map") is None
+    data = b"# a b\nb c\n#\nc c\n"
+    small_cluster.put_file("in", data)
+    spec = replace(wc_spec(), mapper_id="commented.map")
+    res = run_job(small_cluster, spec, RunOptions(executor="serial"))
+    assert res.report.skipped_records == 2
+    got = oracles.parse_parts(small_cluster, res.report.parts)
+    assert got == {b"b": b"1", b"c": b"3"}
+
+
+def test_reregistered_combiner_loses_its_safety(small_cluster):
+    register("fickle.combine", wordcount_combine, combiner_safe=True)
+    register("fickle.combine", wordcount_combine)  # replaces the declaration too
+    small_cluster.put_file("in", b"x\n")
+    spec = replace(wc_spec(), combiner_id="fickle.combine")
     with pytest.raises(InvalidConfig):
         submit_job(small_cluster, spec, RunOptions(executor="serial"))
 
