@@ -20,7 +20,7 @@ import time
 from dataclasses import dataclass, field
 
 from .dfs import Cluster, ClusterConfig
-from .errors import JobFailed, ReportError
+from .errors import InvalidConfig, JobFailed, ReportError
 from .jobs import uservisits_lines
 from .jobtypes import JobSpec, RunOptions
 from .master import submit_job
@@ -91,6 +91,15 @@ def input_bytes(job_id: str, size_bytes: int, vocab_size: int, seed: int) -> byt
 # matrix
 
 
+# matrix config key -> BenchMatrix field
+_CONFIG_FIELDS = {
+    "job": "job_id", "sizes": "sizes", "workers": "worker_counts",
+    "repetitions": "repetitions", "seed": "seed", "chunk_size": "chunk_size",
+    "replication": "replication", "reducers": "num_reducers",
+    "vocab_size": "vocab_size", "executor": "executor",
+}
+
+
 @dataclass(frozen=True)
 class BenchMatrix:
     job_id: str = "wordcount"
@@ -112,20 +121,31 @@ class BenchMatrix:
 
     @classmethod
     def from_config(cls, path: str) -> "BenchMatrix":
+        """Read a JSON matrix config; a key it leaves out keeps the field's
+        default. Malformed JSON, an unknown key or a bad size or worker list
+        raise InvalidConfig."""
         with open(path) as f:
-            raw = json.load(f)
-        return cls(
-            job_id=raw.get("job", "wordcount"),
-            sizes=tuple(parse_size(s) for s in raw.get("sizes", list(DEFAULT_SIZES))),
-            worker_counts=tuple(raw.get("workers", [1, 2, 4])),
-            repetitions=raw.get("repetitions", 3),
-            seed=raw.get("seed", 42),
-            chunk_size=parse_size(raw.get("chunk_size", 16 << 20)),
-            replication=raw.get("replication", 2),
-            num_reducers=raw.get("reducers", 2),
-            vocab_size=raw.get("vocab_size", 10_000),
-            executor=raw.get("executor", "processes"),
-        )
+            try:
+                raw = json.load(f)
+            except json.JSONDecodeError as e:
+                raise InvalidConfig(f"matrix config {path!r} is not JSON: {e}") from None
+        if not isinstance(raw, dict):
+            raise InvalidConfig(f"matrix config {path!r} must be a JSON object")
+        unknown = sorted(set(raw) - set(_CONFIG_FIELDS))
+        if unknown:
+            raise InvalidConfig(f"unknown matrix config keys {unknown}; "
+                                f"expected some of {sorted(_CONFIG_FIELDS)}")
+        given = {_CONFIG_FIELDS[k]: v for k, v in raw.items()}
+        try:
+            if "sizes" in given:
+                given["sizes"] = tuple(parse_size(v) for v in given["sizes"])
+            if "chunk_size" in given:
+                given["chunk_size"] = parse_size(given["chunk_size"])
+            if "worker_counts" in given:
+                given["worker_counts"] = tuple(given["worker_counts"])
+        except (TypeError, ValueError) as e:
+            raise InvalidConfig(f"bad value in matrix config {path!r}: {e}") from None
+        return cls(**given)
 
 
 @dataclass(frozen=True)

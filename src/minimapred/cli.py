@@ -38,14 +38,9 @@ def _store_root(args) -> str:
     return os.environ.get("MINIMAPRED_STORE") or args.store_root
 
 
-def _explicit_cluster_flags(args) -> dict:
-    given = {
-        "num_nodes": args.nodes,
-        "chunk_size": args.chunk_size,
-        "replication": args.replication,
-        "seed": args.seed,
-    }
-    return {k: v for k, v in given.items() if v is not None}
+def _given(**flags) -> dict:
+    """The flags given on the command line; a flag left out is None."""
+    return {k: v for k, v in flags.items() if v is not None}
 
 
 def _open_cluster(args) -> Cluster:
@@ -53,7 +48,8 @@ def _open_cluster(args) -> Cluster:
     existing store keeps its persisted config and only explicitly
     contradicting flags are an error."""
     root = _store_root(args)
-    explicit = _explicit_cluster_flags(args)
+    explicit = _given(num_nodes=args.nodes, chunk_size=args.chunk_size,
+                      replication=args.replication, seed=args.seed)
     if os.path.exists(os.path.join(root, "cluster.json")):
         cluster = Cluster.open_disk(root)
         stored = cluster.config.to_dict()
@@ -64,6 +60,14 @@ def _open_cluster(args) -> Cluster:
             )
         return cluster
     return Cluster.open_disk(root, ClusterConfig(**explicit))
+
+
+def _size_list(text: str) -> tuple[int, ...]:
+    return tuple(bench.parse_size(s) for s in text.split(","))
+
+
+def _int_list(text: str) -> tuple[int, ...]:
+    return tuple(int(s) for s in text.split(","))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -115,17 +119,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="run and report scaling benchmarks")
     bench_sub = p.add_subparsers(dest="bench_command", required=True)
     p = bench_sub.add_parser("run")
-    p.add_argument("--job", default="wordcount", choices=["wordcount", "uservisits"])
-    p.add_argument("--sizes", default=None,
+    # flags left out keep BenchMatrix's defaults
+    p.add_argument("--job", choices=["wordcount", "uservisits"])
+    p.add_argument("--sizes", type=_size_list,
                    help="comma list, e.g. 64MiB,256MiB (default desk-scale)")
-    p.add_argument("--workers", default="1,2,4", help="comma list of worker counts")
-    p.add_argument("--reps", type=int, default=3)
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--chunk-size", type=bench.parse_size, default=16 << 20)
-    p.add_argument("--replication", type=int, default=2)
-    p.add_argument("--reducers", type=int, default=2)
-    p.add_argument("--executor", choices=["serial", "threads", "processes"],
-                   default="processes")
+    p.add_argument("--workers", type=_int_list, help="comma list of worker counts")
+    p.add_argument("--reps", type=int)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--chunk-size", type=bench.parse_size)
+    p.add_argument("--replication", type=int)
+    p.add_argument("--reducers", type=int)
+    p.add_argument("--executor", choices=["serial", "threads", "processes"])
     p.add_argument("--matrix", help="JSON matrix config file (overrides flags)")
     p.add_argument("--full-sizes", action="store_true",
                    help="use the full-scale 350MB/1GB/2GB sizes")
@@ -195,23 +199,12 @@ def cmd_bench(args) -> int:
     if args.matrix:
         matrix = bench.BenchMatrix.from_config(args.matrix)
     else:
-        if args.full_sizes:
-            sizes = bench.FULL_SIZES
-        elif args.sizes:
-            sizes = tuple(bench.parse_size(s) for s in args.sizes.split(","))
-        else:
-            sizes = bench.DEFAULT_SIZES
-        matrix = bench.BenchMatrix(
-            job_id=args.job,
-            sizes=sizes,
-            worker_counts=tuple(int(w) for w in args.workers.split(",")),
-            repetitions=args.reps,
-            seed=args.seed,
-            chunk_size=args.chunk_size,
-            replication=args.replication,
-            num_reducers=args.reducers,
-            executor=args.executor,
-        )
+        matrix = bench.BenchMatrix(**_given(
+            job_id=args.job, sizes=bench.FULL_SIZES if args.full_sizes else args.sizes,
+            worker_counts=args.workers, repetitions=args.reps, seed=args.seed,
+            chunk_size=args.chunk_size, replication=args.replication,
+            num_reducers=args.reducers, executor=args.executor,
+        ))
     os.makedirs(args.output, exist_ok=True)
     rows_csv = os.path.join(args.output, "rows.csv")
     plot_csv = os.path.join(args.output, "plot.csv")

@@ -420,9 +420,6 @@ class Cluster:
             raise NotFound(f"file id {file_id!r} not found")
         return m
 
-    def exists(self, path: str) -> bool:
-        return self.store.get_meta(path) is not None
-
     def list_files(self, prefix: str = "") -> list[FileMeta]:
         return [m for m in self.store.list_metas() if m.path.startswith(prefix)]
 

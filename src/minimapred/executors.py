@@ -11,14 +11,19 @@ so the same scheduling loop drives three backends:
   store so workers and master see the same bytes; the payload's cluster
   pickles as its config and store root, and each worker reopens the files.
 
+A pool's poll() returns the tasks finished so far and wait() blocks until
+at least one is; either returns its batch in submission order. Which tasks
+have finished depends on the interleaving, so the master treats any batch
+order as legal. A pool-level failure (a worker process that died, say) is
+still reported, as a TaskResult with attempt -1.
+
 Every payload carries the Cluster itself; serial and thread workers use the
 master's own object.
 """
 
 from __future__ import annotations
 
-import queue
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent import futures
 from dataclasses import dataclass
 
 from .errors import InvalidConfig, ShuffleSourceLost
@@ -31,12 +36,10 @@ class TaskResult:
     task_id: str
     attempt: int
     node: int
-    kind: str
     ok: bool
     # map: per partition, (node, run names) in spill order, final run last
     locations: list[tuple[int, tuple[str, ...]]] | None = None
     skipped: int = 0
-    part_path: str | None = None  # reduce
     shuffle_lost: str | None = None  # map task whose runs were missing
     error: str | None = None
 
@@ -47,7 +50,6 @@ def execute_task(payload: dict) -> TaskResult:
         task_id=payload["task_id"],
         attempt=payload["attempt"],
         node=payload["node"],
-        kind=payload["kind"],
     )
     try:
         cluster = payload["cluster"]
@@ -66,14 +68,14 @@ def execute_task(payload: dict) -> TaskResult:
                 resolve_split(payload["mapper_id"]),
             )
             return TaskResult(ok=True, locations=locations, skipped=skipped, **base)
-        part = run_reduce_task(
+        run_reduce_task(
             cluster,
             payload["partition"],
             resolve(payload["reducer_id"]),
             payload["sources"],
             payload["output_path"],
         )
-        return TaskResult(ok=True, part_path=part, **base)
+        return TaskResult(ok=True, **base)
     except ShuffleSourceLost as e:
         return TaskResult(ok=False, shuffle_lost=e.map_task_id, error=str(e), **base)
     except Exception as e:  # noqa: BLE001 - task failures go back to the master
@@ -83,8 +85,7 @@ def execute_task(payload: dict) -> TaskResult:
 class SerialExecutor:
     """Runs submissions synchronously, in node order, at the next poll."""
 
-    def __init__(self, workers: int):
-        del workers
+    def __init__(self):
         self._queued: list[tuple[int, dict]] = []
 
     def submit(self, node: int, payload: dict) -> None:
@@ -105,40 +106,26 @@ class SerialExecutor:
 class _PoolExecutor:
     def __init__(self, pool):
         self._pool = pool
-        self._results: queue.Queue[TaskResult] = queue.Queue()
-        self._inflight = 0
+        self._futures = {}  # in-flight futures as keys, in submission order
 
     def submit(self, node: int, payload: dict) -> None:
         del node  # pinning is logical; the master already picked the node
-        self._inflight += 1
-        fut = self._pool.submit(execute_task, payload)
-        fut.add_done_callback(self._on_done)
-
-    def _on_done(self, fut) -> None:
-        try:
-            self._results.put(fut.result())
-        except Exception as e:  # pool-level failure (e.g. broken process)
-            self._results.put(
-                TaskResult(task_id="", attempt=-1, node=-1, kind="", ok=False,
-                           error=f"{type(e).__name__}: {e}")
-            )
-
-    def _drain(self, block: bool) -> list[TaskResult]:
-        out = []
-        while True:
-            try:
-                out.append(self._results.get(block=block and not out))
-                self._inflight -= 1
-            except queue.Empty:
-                return out
+        self._futures[self._pool.submit(execute_task, payload)] = None
 
     def poll(self) -> list[TaskResult]:
-        return self._drain(block=False)
+        return self.wait(timeout=0)
 
-    def wait(self) -> list[TaskResult]:
-        if self._inflight == 0:
-            return []
-        return self._drain(block=True)
+    def wait(self, timeout: float | None = None) -> list[TaskResult]:
+        done = futures.wait(self._futures, timeout, futures.FIRST_COMPLETED).done
+        out = []
+        for fut in [f for f in self._futures if f in done]:
+            del self._futures[fut]
+            try:
+                out.append(fut.result())
+            except Exception as e:  # pool-level failure (e.g. broken process)
+                out.append(TaskResult(task_id="", attempt=-1, node=-1, ok=False,
+                                      error=f"{type(e).__name__}: {e}"))
+        return out
 
     def shutdown(self) -> None:
         self._pool.shutdown(wait=True)
@@ -146,11 +133,11 @@ class _PoolExecutor:
 
 def make_executor(name: str, workers: int, store_kind: str):
     if name == "serial":
-        return SerialExecutor(workers)
+        return SerialExecutor()
     if name == "threads":
-        return _PoolExecutor(ThreadPoolExecutor(max_workers=workers))
+        return _PoolExecutor(futures.ThreadPoolExecutor(max_workers=workers))
     if name == "processes":
         if store_kind != "disk":
             raise InvalidConfig("process workers require a disk-backed store")
-        return _PoolExecutor(ProcessPoolExecutor(max_workers=workers))
+        return _PoolExecutor(futures.ProcessPoolExecutor(max_workers=workers))
     raise InvalidConfig(f"unknown executor {name!r}; use serial, threads or processes")

@@ -68,7 +68,6 @@ class PlanExecution:
     """Tracks which events of a plan have fired (each fires at most once)."""
 
     def __init__(self, plan: FailurePlan):
-        self.plan = plan
         self._pending = list(plan.events)
 
     def due_at_tick(self, tick: int) -> list[int]:

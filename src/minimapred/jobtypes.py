@@ -26,6 +26,9 @@ class JobSpec:
     num_reducers: int = 1
 
     def __post_init__(self):
+        # the job deletes runs/<job_id> on every node at its end
+        if self.job_id in ("", ".", "..") or "/" in self.job_id or "\\" in self.job_id:
+            raise InvalidConfig(f"job_id must be one path component, got {self.job_id!r}")
         if self.num_reducers < 1:
             raise InvalidConfig(f"num_reducers must be >= 1, got {self.num_reducers}")
 
@@ -85,16 +88,15 @@ class JobState:
 
 @dataclass
 class RunOptions:
-    """Execution knobs independent of the job itself; none of them changes
-    the part bytes of a job that completes."""
+    """Execution knobs independent of the job itself: how many workers, which
+    executor runs them, and how many values a map task buffers before it
+    spills. None of them changes the part bytes of a job that completes."""
 
     workers: int | None = None  # default: one worker per node
     executor: str = "threads"  # "serial" | "threads" | "processes"
-    max_attempts: int = MAX_TASK_ATTEMPTS
     # map-side buffered values before a spill: emitted pairs on the record
     # path, and fewer where a split form pre-combines a key's values
     spill_pairs: int = SPILL_PAIRS
-    keep_intermediate: bool = False
 
     def __post_init__(self):
         if self.spill_pairs < 1:

@@ -26,7 +26,8 @@ from .errors import (
 )
 from .executors import TaskResult, make_executor
 from .fault import FailurePlan, PlanExecution
-from .jobtypes import JobReport, JobSpec, JobState, Phase, RunOptions, TaskDescriptor, TaskState
+from .jobtypes import (MAX_TASK_ATTEMPTS, JobReport, JobSpec, JobState, Phase, RunOptions,
+                       TaskDescriptor, TaskState)
 from .registry import is_combiner_safe, resolve
 from .schedule import plan_map_tasks, plan_reduce_tasks, schedule
 
@@ -79,7 +80,6 @@ class Master:
         self.tick = 0
         self._busy: dict[int, tuple[str, int]] = {}  # node -> (task_id, attempt)
         self._plan_exec = PlanExecution(self.plan)
-        self._parts: dict[int, str] = {}
         self._skipped: dict[str, int] = {}
         self._last_error: dict[str, str] = {}
         self._dispatches = {"map": 0, "reduce": 0}
@@ -112,11 +112,8 @@ class Master:
             raise JobFailed(str(e), report=report) from None
         finally:
             executor.shutdown()
-            if not self.options.keep_intermediate:
-                for node in range(self.cluster.config.num_nodes):
-                    self.cluster.store.delete_local_tree(
-                        node, f"runs/{self.spec.job_id}"
-                    )
+            for node in range(self.cluster.config.num_nodes):
+                self.cluster.store.delete_local_tree(node, f"runs/{self.spec.job_id}")
 
         report = self._report(started)
         return RunResult(report, self.state, self.events)
@@ -228,8 +225,6 @@ class Master:
             if task.kind == "map":
                 task.result_locations = msg.locations
                 self._skipped[task.task_id] = msg.skipped
-            else:
-                self._parts[task.payload] = msg.part_path
             for node in self._plan_exec.due_after_task(task.task_id):
                 self._kill(node)
             return
@@ -249,14 +244,14 @@ class Master:
         self._revert(task)
 
     def _revert(self, task: TaskDescriptor) -> None:
-        fault.revert(task, self.options.max_attempts, self._last_error.get(task.task_id))
+        fault.revert(task, MAX_TASK_ATTEMPTS, self._last_error.get(task.task_id))
 
     def _kill(self, node: int) -> None:
         if self.cluster.is_node_dead(node):
             return
         self._log("node_dead", node=node)
         self.cluster.mark_node_dead(node)
-        summary = fault.recover(self.state, node, self.options.max_attempts)
+        summary = fault.recover(self.state, node, MAX_TASK_ATTEMPTS)
         self._re_executed_maps += len(summary.reverted_completed_maps)
         for task_id in summary.reverted_completed_maps:
             self._log("reexecute_completed_map", task=task_id)
@@ -287,10 +282,11 @@ class Master:
 
     def _report(self, started: float) -> JobReport:
         elapsed_ms = (time.perf_counter() - started) * 1000.0
+        # a completed reduce is never reverted, so its part is final
         parts = [
-            part_file_path(self.spec.output_path, i)
-            for i in range(self.spec.num_reducers)
-            if self.state.phase is Phase.DONE or i in self._parts
+            part_file_path(self.spec.output_path, t.payload)
+            for t in self.state.reduce_tasks
+            if t.state is TaskState.COMPLETED
         ]
         return JobReport(
             job_id=self.spec.job_id,

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from minimapred import ReportError, bench
 from minimapred.cli import main
 
 
@@ -217,3 +218,54 @@ def test_job_failure_exits_3(tmp_path, capsys):
                    "--fail", "0:0", "--fail", "1:0", "--fail", "2:0", "--fail", "3:0")
     assert code == 3
     assert "error:" in capsys.readouterr().err
+
+
+def test_job_id_that_escapes_runs_dir_exits_2_and_keeps_the_store(tmp_path, capsys):
+    src = tmp_path / "tok"
+    src.write_bytes(b"a b a\nc a b\n" * 50)
+    run_cli("dfs", "put", str(src), "tok", "--chunk-size", "64")
+    code = run_cli("job", "run", "wordcount", "--input", "tok", "--output", "out",
+                   "--executor", "serial", "--job-id", "../..")
+    assert code == 2
+    assert "job_id" in capsys.readouterr().err
+    assert run_cli("dfs", "cat", "tok") == 0
+    assert capsys.readouterr().out == src.read_text()
+
+
+@pytest.mark.parametrize("config, message", [
+    ('{"sizes": ["12XB"]}', "bad value"),
+    ('{"sizes": ["4KiB"],', "not JSON"),
+    ('{"sizes": ["4KiB"], "reducer": 3}', "'reducer'"),
+])
+def test_bench_matrix_config_errors_exit_2(tmp_path, capsys, config, message):
+    cfg = tmp_path / "matrix.json"
+    cfg.write_text(config)
+    assert run_cli("bench", "run", "--matrix", str(cfg),
+                   "--output", str(tmp_path / "b")) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and message in err
+    assert not (tmp_path / "b").exists()
+
+
+def test_bench_bad_size_flag_is_a_usage_error(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("bench", "run", "--sizes", "12XB", "--output", str(tmp_path / "b"))
+    assert exc.value.code == 2
+    assert "--sizes" in capsys.readouterr().err
+
+
+def test_bench_flags_and_config_left_out_keep_matrix_defaults(tmp_path, monkeypatch):
+    seen = []
+
+    def fake_run_matrix(matrix, **kwargs):
+        seen.append(matrix)
+        raise ReportError("not run")
+
+    monkeypatch.setattr(bench, "run_matrix", fake_run_matrix)
+    cfg = tmp_path / "matrix.json"
+    cfg.write_text('{"sizes": ["4KiB"], "workers": [1, 3]}')
+    assert run_cli("bench", "run", "--sizes", "4KiB", "--workers", "1,3",
+                   "--output", str(tmp_path / "a")) == 3
+    assert run_cli("bench", "run", "--matrix", str(cfg),
+                   "--output", str(tmp_path / "b")) == 3
+    assert seen == [bench.BenchMatrix(sizes=(4096,), worker_counts=(1, 3))] * 2

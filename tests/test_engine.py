@@ -635,7 +635,8 @@ def _spilling_wordcount(cluster, spill_pairs, **options):
 
 def test_spill_runs_are_sources_and_are_removed_with_the_job(tmp_path):
     kept = Cluster.open_disk(str(tmp_path / "kept"), SPILL_CONFIG)
-    res = _spilling_wordcount(kept, 40, executor="serial", keep_intermediate=True)
+    kept.store.delete_local_tree = lambda node, prefix: None  # keep the runs to inspect
+    res = _spilling_wordcount(kept, 40, executor="serial")
     runs = [(node, name) for m in res.state.map_tasks
             for node, names in m.result_locations for name in names]
     assert sum(".spill" in name for _, name in runs) >= 4
@@ -654,7 +655,7 @@ def test_spill_runs_are_sources_and_are_removed_with_the_job(tmp_path):
 
 def test_hundreds_of_runs_per_reducer_under_processes_match_serial(tmp_path):
     disk = Cluster.open_disk(str(tmp_path / "store"), SPILL_CONFIG)
-    res = _spilling_wordcount(disk, 1, executor="processes", keep_intermediate=True)
+    res = _spilling_wordcount(disk, 1, executor="processes")
     for p in range(2):
         assert sum(len(m.result_locations[p][1]) for m in res.state.map_tasks) >= 100
     parts = [disk.get_file(p) for p in res.report.parts]
@@ -711,6 +712,18 @@ def test_undeclared_combiner_rejected(small_cluster):
                    combiner_id="sneaky.combine")
     with pytest.raises(InvalidConfig):
         submit_job(small_cluster, spec, RunOptions(executor="serial"))
+
+
+@pytest.mark.parametrize("job_id", ["", ".", "..", "../..", "a/b", "/abs", "a\\b"])
+def test_job_id_must_be_one_path_component(job_id):
+    # the id names the node-local runs/<job_id> tree that the job deletes
+    with pytest.raises(InvalidConfig, match="job_id"):
+        wc_spec(job_id=job_id)
+
+
+def test_plain_job_ids_accepted():
+    for job_id in ("wc", "uv-parallel-12", "wordcount-1a2b3c4d", "..x", "a.b"):
+        assert wc_spec(job_id=job_id).job_id == job_id
 
 
 def test_spill_pairs_below_one_rejected():

@@ -1,5 +1,8 @@
 """Failure injection, node death and recovery semantics."""
 
+import os
+from dataclasses import replace
+
 import pytest
 
 from minimapred import (
@@ -331,6 +334,26 @@ def test_max_attempts_exhaustion_fails_job():
         submit_job(c, spec, RunOptions(executor="serial"))
     assert "attempts" in str(exc.value)
     assert exc.value.report is not None
+    assert exc.value.report.phase == "failed"
+
+
+def _exiting_map(offset, line):
+    os._exit(3)  # the worker process dies; the pool breaks under the master
+
+
+# registered at import time so that pool worker processes can resolve it
+register("exiting.map", _exiting_map)
+
+
+def test_worker_process_death_fails_job_as_executor_failure(tmp_path):
+    c = Cluster.open_disk(str(tmp_path / "store"),
+                          ClusterConfig(num_nodes=2, chunk_size=64, replication=2, seed=3))
+    c.put_file("in", random_tokens(5, n=60))
+    spec = replace(wc_spec(), mapper_id="exiting.map")
+    with pytest.raises(JobFailed) as exc:
+        submit_job(c, spec, RunOptions(executor="processes", workers=2))
+    assert "executor failure" in str(exc.value)
+    assert "BrokenProcessPool" in str(exc.value)
     assert exc.value.report.phase == "failed"
 
 
