@@ -115,9 +115,9 @@ class BenchMatrix:
 
     def __post_init__(self):
         if not self.sizes or not self.worker_counts:
-            raise ReportError("sizes and worker_counts must be non-empty")
+            raise InvalidConfig("sizes and worker_counts must be non-empty")
         if self.repetitions < 1:
-            raise ReportError("repetitions must be >= 1")
+            raise InvalidConfig("repetitions must be >= 1")
 
     @classmethod
     def from_config(cls, path: str) -> "BenchMatrix":

@@ -107,7 +107,9 @@ def recover(job: JobState, dead_node: int, max_attempts: int) -> RecoverySummary
     there go back to pending (their output was node-local). Completed reduce
     tasks are untouched (their output is replicated). If map work was lost
     while reducing, every not-yet-completed reducer has to rebuild its merge
-    from the re-executed runs, so running reducers are reverted too.
+    from the re-executed runs, so running reducers are reverted too. The
+    phase is left to the master, which moves it back to mapping and logs
+    the change.
     """
     summary = RecoverySummary()
 
@@ -124,7 +126,6 @@ def recover(job: JobState, dead_node: int, max_attempts: int) -> RecoverySummary
             summary.reverted_completed_maps.append(task.task_id)
 
     if summary.reverted_completed_maps and job.phase is Phase.REDUCING:
-        job.phase = Phase.MAPPING
         for task in job.reduce_tasks:
             if task.state is TaskState.RUNNING:
                 revert(task, max_attempts)

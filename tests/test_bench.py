@@ -2,7 +2,7 @@
 
 import pytest
 
-from minimapred import ReportError, register
+from minimapred import InvalidConfig, ReportError, register
 from minimapred.bench import (
     CSV_COLUMNS,
     BenchMatrix,
@@ -136,9 +136,9 @@ def test_matrix_from_config(tmp_path):
 
 
 def test_matrix_validation():
-    with pytest.raises(ReportError):
+    with pytest.raises(InvalidConfig):
         BenchMatrix(sizes=())
-    with pytest.raises(ReportError):
+    with pytest.raises(InvalidConfig):
         BenchMatrix(repetitions=0)
 
 

@@ -151,45 +151,107 @@ RUN_GROUPS = [
 ]
 
 
-def test_run_file_roundtrip(small_cluster):
-    sink = small_cluster.store.open_local_write(0, "runs/t/x")
+def frame_ends(data: bytes) -> list[int]:
+    """Walk a run's 8-byte frame headers; returns every frame boundary."""
+    ends = [0]
+    while ends[-1] < len(data):
+        at = ends[-1]
+        ends.append(at + 8 + int.from_bytes(data[at:at + 8], "little"))
+    assert ends[-1] == len(data)
+    return ends
+
+
+def test_run_file_roundtrip(small_cluster, monkeypatch):
+    sink = small_cluster.store.open_local_write(0, "runs/t/one")
     assert write_run(sink, RUN_GROUPS) == 7
     sink.close()
-    with small_cluster.store.open_local_read(0, "runs/t/x") as f:
-        assert list(iter_run(f, buffer_size=7)) == RUN_GROUPS
+    # frames cut at 20 bytes of keys and values plus 8 per value:
+    # the first two groups (8 + 30), then one group each
+    monkeypatch.setattr("minimapred.tasks.FRAME_BYTES", 20)
+    sink = small_cluster.store.open_local_write(0, "runs/t/three")
+    assert write_run(sink, RUN_GROUPS) == 7
+    sink.close()
+    for name, frames in (("runs/t/one", 1), ("runs/t/three", 3)):
+        with small_cluster.store.open_local_read(0, name) as f:
+            assert len(frame_ends(f.read())) - 1 == frames
+        with small_cluster.store.open_local_read(0, name) as f:
+            assert list(iter_run(f)) == RUN_GROUPS
 
 
-def test_run_file_empty_key_and_values_roundtrip():
+def test_run_file_empty_key_and_values_roundtrip(monkeypatch):
+    monkeypatch.setattr("minimapred.tasks.FRAME_BYTES", 1)  # one group per frame
     groups = [(b"", [b"", b""]), (b"", [b""]), (b"k", [b""])]
     buf = io.BytesIO()
     assert write_run(buf, groups) == 4
-    assert list(iter_run(io.BytesIO(buf.getvalue()), buffer_size=3)) == groups
+    assert len(frame_ends(buf.getvalue())) - 1 == 3
+    assert list(iter_run(io.BytesIO(buf.getvalue()))) == groups
+    empty = io.BytesIO()
+    assert write_run(empty, []) == 0
+    assert empty.getvalue() == b""
     assert list(iter_run(io.BytesIO(b""))) == []
 
 
-def test_run_file_cut_anywhere_inside_a_group_raises():
+def test_run_file_cut_anywhere_inside_a_group_raises(monkeypatch):
+    monkeypatch.setattr("minimapred.tasks.FRAME_BYTES", 20)
     buf = io.BytesIO()
     write_run(buf, RUN_GROUPS)
     data = buf.getvalue()
-    # record boundaries: 8-byte header, key, 4 bytes per value, values
-    ends, at = [0], 0
-    for k, vs in RUN_GROUPS:
-        at += 8 + len(k) + 4 * len(vs) + sum(map(len, vs))
-        ends.append(at)
-    assert ends[-1] == len(data)
+    ends = frame_ends(data)
+    # a cut on a frame boundary is a shorter run: 2, then 1 and 1 groups
+    assert [len(list(iter_run(io.BytesIO(data[:end])))) for end in ends] == [0, 2, 3, 4]
     regions = set()
     for cut in range(len(data)):
         if cut in ends:
             continue
         start = max(e for e in ends if e < cut)
-        k, vs = RUN_GROUPS[ends.index(start)]
-        into = cut - start
-        regions.add("header" if into < 8 else "key" if into < 8 + len(k)
-                    else "lengths" if into < 8 + len(k) + 4 * len(vs) else "values")
-        for buffer_size in (7, 1 << 20):
-            with pytest.raises(ValueError, match="truncated run file"):
-                list(iter_run(io.BytesIO(data[:cut]), buffer_size=buffer_size))
-    assert regions == {"header", "key", "lengths", "values"}
+        regions.add("header" if cut - start < 8 else "body")
+        with pytest.raises(ValueError, match="truncated run file"):
+            list(iter_run(io.BytesIO(data[:cut])))
+    assert regions == {"header", "body"}
+
+
+class _ReadLog(io.BytesIO):
+    def __init__(self, data: bytes):
+        super().__init__(data)
+        self.sizes: list[int] = []
+
+    def read(self, size=-1):
+        self.sizes.append(size)
+        return super().read(size)
+
+
+def test_iter_run_reads_one_header_or_frame_at_a_time(monkeypatch):
+    monkeypatch.setattr("minimapred.tasks.FRAME_BYTES", 20)
+    buf = io.BytesIO()
+    write_run(buf, RUN_GROUPS)
+    data = buf.getvalue()
+    ends = frame_ends(data)
+    bodies = [b - a - 8 for a, b in itertools.pairwise(ends)]
+    f = _ReadLog(data)
+    groups = iter_run(f)
+    assert next(groups) == RUN_GROUPS[0]
+    assert f.sizes == [8, bodies[0]]
+    assert [next(groups)] + list(groups) == RUN_GROUPS[1:]
+    # one header and one body per frame, then the header read that hits EOF
+    assert f.sizes == [n for body in bodies for n in (8, body)] + [8]
+
+
+@pytest.mark.parametrize("value", ["1", 1])
+def test_non_bytes_mapper_value_fails_at_the_run_write(value):
+    c, split = _single_line_cluster(b"alpha beta")
+    with pytest.raises(TypeError) as exc:
+        run_map_task(c, "j", "map-0", 0, 0, split,
+                     lambda offset, line: [(b"k", value)], None, 1)
+    assert exc.traceback[-1].name == "write_run"
+
+
+@pytest.mark.parametrize("key", ["alpha", 1])
+def test_non_bytes_combiner_key_fails_at_the_run_write(key):
+    c, split = _single_line_cluster(b"alpha beta")
+    with pytest.raises(TypeError) as exc:
+        run_map_task(c, "j", "map-0", 0, 0, split, wordcount_map,
+                     lambda k, vs: [(key, b"1")], 1)
+    assert exc.traceback[-1].name == "write_run"
 
 
 def _single_line_cluster(line: bytes):
@@ -463,7 +525,7 @@ def test_shuffle_merges_sorted_runs(small_cluster):
     _put_run(c, 1, "runs/j/map-1.0.0", [(b"b", [b"1"])])
     sources = [(0, "map-0", 0, ("runs/j/map-0.0.0",)),
                (1, "map-1", 1, ("runs/j/map-1.0.0",))]
-    assert list(shuffle_fetch(c, 0, sources)) == [
+    assert list(shuffle_fetch(c, sources)) == [
         (b"a", [b"1"]), (b"b", [b"1"]), (b"c", [b"1", b"2"])]
 
 
@@ -473,7 +535,7 @@ def test_shuffle_ties_break_by_map_index(small_cluster):
     _put_run(c, 1, "r1", [(b"k", [b"from-map1"])])
     # source list order must not matter, only the map index
     sources = [(1, "map-1", 1, ("r1",)), (0, "map-0", 0, ("r0",))]
-    assert [vs for _, vs in shuffle_fetch(c, 0, sources)] == [
+    assert [vs for _, vs in shuffle_fetch(c, sources)] == [
         [b"from-map0"], [b"map0-spill1"], [b"from-map1"]]
 
     # several runs per source: (map index, spill index, emission order)
@@ -487,7 +549,7 @@ def test_shuffle_ties_break_by_map_index(small_cluster):
         _put_run(c, node, name, groups)
     sources = [(1, "map-1", 1, ("m1.spill0", "m1")),
                (0, "map-0", 0, ("m0.spill0", "m0.spill1", "m0"))]
-    assert [(k, v) for k, vs in shuffle_fetch(c, 0, sources) for v in vs] == [
+    assert [(k, v) for k, vs in shuffle_fetch(c, sources) for v in vs] == [
         (b"a", b"0s0"), (b"a", b"0f"), (b"a", b"1f"),
         (b"k", b"0s0-1"), (b"k", b"0s0-2"), (b"k", b"0s1"), (b"k", b"0f-1"),
         (b"k", b"0f-2"), (b"k", b"1s0"), (b"k", b"1f"), (b"z", b"0s1")]
@@ -508,7 +570,7 @@ def test_shuffle_multiset_preserved(small_cluster):
         # one group per pair, so adjacent records repeat keys
         _put_run(c, i % 4, f"r{i}", [(k, [v]) for k, v in pairs])
         sources.append((i, f"map-{i}", i % 4, (f"r{i}",)))
-    merged = [(k, v) for k, vs in shuffle_fetch(c, 0, sources) for v in vs]
+    merged = [(k, v) for k, vs in shuffle_fetch(c, sources) for v in vs]
     assert sorted(merged) == sorted(emitted)
     assert [k for k, _ in merged] == sorted(k for k, _ in emitted)
 

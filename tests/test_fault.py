@@ -104,8 +104,9 @@ def test_completed_map_reverts_completed_reduce_survives():
     assert map1.result_locations is None
     assert state.task("reduce-0").state is TaskState.COMPLETED
     assert state.task("reduce-0").attempt == 0
-    # lost map work while reducing: running reducers restart their shuffle
-    assert state.phase is Phase.MAPPING
+    # lost map work while reducing: running reducers restart their shuffle;
+    # the phase is the master's to change (see the whole-job test below)
+    assert state.phase is Phase.REDUCING
     assert state.task("reduce-1").state is TaskState.PENDING
 
 
@@ -146,18 +147,18 @@ def test_dead_node_runs_unreadable_then_resolved():
     [split] = c.make_splits(meta)
     locations, _ = run_map_task(c, "j", "map-3", 0, 0, split, wordcount_map, None, 1)
     sources = [(3, "map-3", *locations[0])]
-    assert list(shuffle_fetch(c, 0, sources)) == [
+    assert list(shuffle_fetch(c, sources)) == [
         (b"alpha", [b"1", b"1"]), (b"beta", [b"1"])]
 
     c.mark_node_dead(0)
     with pytest.raises(ShuffleSourceLost) as exc:
-        shuffle_fetch(c, 0, sources)
+        shuffle_fetch(c, sources)
     assert exc.value.map_task_id == "map-3"
 
     # re-execution on a live node resolves the loss exactly once
     relocations, _ = run_map_task(c, "j", "map-3", 1, 1, split, wordcount_map, None, 1)
     resolved = [(3, "map-3", *relocations[0])]
-    assert list(shuffle_fetch(c, 0, resolved)) == [
+    assert list(shuffle_fetch(c, resolved)) == [
         (b"alpha", [b"1", b"1"]), (b"beta", [b"1"])]
 
 
@@ -171,13 +172,13 @@ def test_missing_spill_run_loses_its_map_source():
     assert names == tuple(f"runs/j/map-3.0.0.spill{i}" for i in range(3)) + (
         "runs/j/map-3.0.0",)
     sources = [(3, "map-3", node, names)]
-    assert [(k, len(vs)) for k, vs in shuffle_fetch(c, 0, sources)] == [
+    assert [(k, len(vs)) for k, vs in shuffle_fetch(c, sources)] == [
         (b"alpha", 2), (b"alpha", 1), (b"beta", 1), (b"beta", 1), (b"delta", 1),
         (b"gamma", 1)]
 
     c.store.delete_local(node, names[1])
     with pytest.raises(ShuffleSourceLost) as exc:
-        shuffle_fetch(c, 0, sources)
+        shuffle_fetch(c, sources)
     assert exc.value.map_task_id == "map-3"
 
 
@@ -253,6 +254,18 @@ def test_after_task_kill_reexecutes_completed_map():
     # the re-run landed on a live node
     final_node = res.state.task("map-2").assigned_node
     assert final_node != node_of_map2
+
+
+def test_map_loss_while_reducing_logs_the_return_to_mapping():
+    _, res = _run(plan=FailurePlan.parse(["2:after:reduce-0"]))
+    assert res.state.phase is Phase.DONE
+    phases = [e["phase"] for e in res.events if e["event"] == "phase"]
+    assert phases == ["reducing", "mapping", "reducing", "done"]
+    dead = next(i for i, e in enumerate(res.events) if e["event"] == "node_dead")
+    back = next(i for i, e in enumerate(res.events)
+                if e["event"] == "phase" and e["phase"] == "mapping" and i > dead)
+    assert any(e["event"] == "reexecute_completed_map"
+               for e in res.events[dead:back])
 
 
 def test_tick_kill_during_reduce_phase_shuffle_lost_observed():
