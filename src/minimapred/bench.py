@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 import random
 import shutil
 import statistics
@@ -24,18 +25,6 @@ from .errors import InvalidConfig, JobFailed, ReportError
 from .jobs import uservisits_lines
 from .jobtypes import JobSpec, RunOptions
 from .master import submit_job
-
-CSV_COLUMNS = (
-    "job",
-    "workers",
-    "size_bytes",
-    "repetition",
-    "elapsed_seconds",
-    "map_tasks",
-    "reduce_tasks",
-    "seed",
-    "failed",
-)
 
 PLOT_COLUMNS = ("job", "workers", "size_bytes", "elapsed_seconds")
 
@@ -81,10 +70,10 @@ def token_lines(
     return "".join(out).encode()
 
 
-def input_bytes(job_id: str, size_bytes: int, vocab_size: int, seed: int) -> bytes:
+def input_bytes(job_id: str, size_bytes: int, seed: int) -> bytes:
     if job_id == "uservisits":
         return uservisits_lines(max(1, size_bytes // 75), seed)
-    return token_lines(size_bytes, vocab_size, seed)
+    return token_lines(size_bytes, seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -95,8 +84,7 @@ def input_bytes(job_id: str, size_bytes: int, vocab_size: int, seed: int) -> byt
 _CONFIG_FIELDS = {
     "job": "job_id", "sizes": "sizes", "workers": "worker_counts",
     "repetitions": "repetitions", "seed": "seed", "chunk_size": "chunk_size",
-    "replication": "replication", "reducers": "num_reducers",
-    "vocab_size": "vocab_size", "executor": "executor",
+    "replication": "replication", "reducers": "num_reducers", "executor": "executor",
 }
 
 
@@ -110,12 +98,14 @@ class BenchMatrix:
     chunk_size: int = 16 << 20
     replication: int = 2
     num_reducers: int = 2
-    vocab_size: int = 10_000
     executor: str = "processes"
 
     def __post_init__(self):
-        if not self.sizes or not self.worker_counts:
-            raise InvalidConfig("sizes and worker_counts must be non-empty")
+        for name in ("sizes", "worker_counts"):
+            values = getattr(self, name)
+            if not values or min(values) < 1:
+                raise InvalidConfig(
+                    f"{name} must be non-empty and each >= 1, got {list(values)}")
         if self.repetitions < 1:
             raise InvalidConfig("repetitions must be >= 1")
 
@@ -161,6 +151,27 @@ class BenchRow:
     failed: bool = False
 
 
+def _flag(text: str) -> bool:
+    return text == "true"
+
+
+# the rows CSV schema: (column, BenchRow field, parser), in column order
+_ROW_SCHEMA = (
+    ("job", "job_id", str),
+    ("workers", "workers", int),
+    ("size_bytes", "size_bytes", int),
+    ("repetition", "repetition", int),
+    ("elapsed_seconds", "elapsed_seconds", float),
+    ("map_tasks", "map_tasks", int),
+    ("reduce_tasks", "reduce_tasks", int),
+    ("seed", "seed", int),
+    ("failed", "failed", _flag),
+)
+CSV_COLUMNS = tuple(column for column, _, _ in _ROW_SCHEMA)
+# how a field is written, by its parser; the rest are written with str
+_WRITERS = {float: "{:.6f}".format, _flag: lambda b: "true" if b else "false"}
+
+
 def default_combiner(job_id: str) -> str | None:
     return "wordcount.combine" if job_id == "wordcount" else None
 
@@ -177,7 +188,7 @@ def run_matrix(
     rows = []
     nodes = max(4, max(matrix.worker_counts))
     for size in matrix.sizes:
-        data = input_bytes(matrix.job_id, size, matrix.vocab_size, matrix.seed)
+        data = input_bytes(matrix.job_id, size, matrix.seed)
         for workers in matrix.worker_counts:
             for rep in range(matrix.repetitions):
                 row = _run_cell(matrix, nodes, size, data, workers, rep, store_parent)
@@ -242,47 +253,21 @@ def _run_cell(
 
 
 def append_rows_csv(rows: list[BenchRow], path: str) -> None:
-    import os
-
     new = not os.path.exists(path)
     with open(path, "a", newline="") as f:
         w = csv.writer(f)
         if new:
             w.writerow(CSV_COLUMNS)
         for r in rows:
-            w.writerow(
-                (
-                    r.job_id,
-                    r.workers,
-                    r.size_bytes,
-                    r.repetition,
-                    f"{r.elapsed_seconds:.6f}",
-                    r.map_tasks,
-                    r.reduce_tasks,
-                    r.seed,
-                    str(r.failed).lower(),
-                )
-            )
+            w.writerow(_WRITERS.get(parse, str)(getattr(r, name))
+                       for _, name, parse in _ROW_SCHEMA)
 
 
 def read_rows_csv(path: str) -> list[BenchRow]:
-    rows = []
     with open(path, newline="") as f:
-        for rec in csv.DictReader(f):
-            rows.append(
-                BenchRow(
-                    job_id=rec["job"],
-                    size_bytes=int(rec["size_bytes"]),
-                    workers=int(rec["workers"]),
-                    repetition=int(rec["repetition"]),
-                    elapsed_seconds=float(rec["elapsed_seconds"]),
-                    map_tasks=int(rec["map_tasks"]),
-                    reduce_tasks=int(rec["reduce_tasks"]),
-                    seed=int(rec["seed"]),
-                    failed=rec["failed"] == "true",
-                )
-            )
-    return rows
+        return [BenchRow(**{name: parse(rec[column])
+                            for column, name, parse in _ROW_SCHEMA})
+                for rec in csv.DictReader(f)]
 
 
 # ---------------------------------------------------------------------------
@@ -317,9 +302,15 @@ class Report:
         return "\n".join(lines)
 
 
-def _median_elapsed(rows: list[BenchRow]) -> float | None:
-    ok = [r.elapsed_seconds for r in rows if not r.failed]
-    return statistics.median(ok) if ok else None
+def cell_medians(rows: list[BenchRow]) -> dict[tuple[str, int, int], float]:
+    """(job, size, workers) -> median elapsed of the cell's successful rows.
+    A cell with no successful row is left out."""
+    times: dict[tuple[str, int, int], list[float]] = {}
+    for r in rows:
+        if not r.failed:
+            times.setdefault((r.job_id, r.size_bytes, r.workers), []).append(
+                r.elapsed_seconds)
+    return {cell: statistics.median(ts) for cell, ts in times.items()}
 
 
 def speedup_report(rows: list[BenchRow], tolerance: float = 0.5) -> Report:
@@ -327,60 +318,44 @@ def speedup_report(rows: list[BenchRow], tolerance: float = 0.5) -> Report:
 
     speedup(w) = median elapsed at 1 worker / median elapsed at w workers
     (per size); scaling(s) = median elapsed at size s / median elapsed at
-    the smallest size (per worker count). Entries deviating from the ideal
-    ratio by more than ``tolerance`` (relative) are flagged.
+    the smallest size (per worker count). Cells with no successful row are
+    skipped, but a missing baseline raises ReportError. Entries deviating
+    from the ideal ratio by more than ``tolerance`` (relative) are flagged.
     """
     if not rows:
         raise ReportError("no rows to report on")
+    medians = cell_medians(rows)
     report = Report()
-    for job in sorted({r.job_id for r in rows}):
-        jrows = [r for r in rows if r.job_id == job]
-        sizes = sorted({r.size_bytes for r in jrows})
-        workers = sorted({r.workers for r in jrows})
 
+    def add(job, kind, workers, size, value, ideal):
+        report.entries.append(ReportEntry(job, kind, workers, size, value, ideal,
+                                          abs(value - ideal) > tolerance * ideal))
+
+    for job in sorted({r.job_id for r in rows}):
+        sizes = sorted({r.size_bytes for r in rows if r.job_id == job})
+        workers = sorted({r.workers for r in rows if r.job_id == job})
         if 1 not in workers:
             raise ReportError(f"job {job!r} has no 1-worker baseline rows")
         for size in sizes:
-            base = _median_elapsed(
-                [r for r in jrows if r.size_bytes == size and r.workers == 1]
-            )
+            base = medians.get((job, size, 1))
             if base is None:
                 raise ReportError(
-                    f"job {job!r} size {size} has no successful 1-worker rows"
-                )
+                    f"job {job!r} size {size} has no successful 1-worker rows")
             for w in workers:
-                med = _median_elapsed(
-                    [r for r in jrows if r.size_bytes == size and r.workers == w]
-                )
-                if med is None:
-                    continue
-                value, ideal = base / med, float(w)
-                report.entries.append(
-                    ReportEntry(job, "speedup", w, size, value, ideal,
-                                abs(value - ideal) > tolerance * ideal)
-                )
+                if (job, size, w) in medians:
+                    add(job, "speedup", w, size, base / medians[job, size, w], float(w))
 
         smallest = sizes[0]
         for w in workers:
-            base = _median_elapsed(
-                [r for r in jrows if r.size_bytes == smallest and r.workers == w]
-            )
+            base = medians.get((job, smallest, w))
             if base is None:
                 raise ReportError(
                     f"job {job!r} workers {w} has no successful rows at the "
-                    f"smallest size {smallest}"
-                )
+                    f"smallest size {smallest}")
             for size in sizes:
-                med = _median_elapsed(
-                    [r for r in jrows if r.size_bytes == size and r.workers == w]
-                )
-                if med is None:
-                    continue
-                value, ideal = med / base, size / smallest
-                report.entries.append(
-                    ReportEntry(job, "scaling", w, size, value, ideal,
-                                abs(value - ideal) > tolerance * ideal)
-                )
+                if (job, size, w) in medians:
+                    add(job, "scaling", w, size, medians[job, size, w] / base,
+                        size / smallest)
     return report
 
 
@@ -389,16 +364,12 @@ def emit_plot_data(rows: list[BenchRow], path: str) -> None:
     elapsed; stable order and content for identical input rows."""
     if not rows:
         raise ReportError("no rows to plot")
-    cells: dict[tuple[str, int, int], list[BenchRow]] = {}
-    for r in rows:
-        cells.setdefault((r.job_id, r.workers, r.size_bytes), []).append(r)
+    medians = cell_medians(rows)
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(PLOT_COLUMNS)
-        for (job, workers, size) in sorted(cells):
-            med = _median_elapsed(cells[(job, workers, size)])
-            if med is not None:
-                w.writerow((job, workers, size, f"{med:.6f}"))
+        for job, size, workers in sorted(medians, key=lambda c: (c[0], c[2], c[1])):
+            w.writerow((job, workers, size, f"{medians[job, size, workers]:.6f}"))
 
 
 # ---------------------------------------------------------------------------

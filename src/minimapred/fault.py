@@ -64,23 +64,6 @@ class FailurePlan:
         return cls(tuple(events))
 
 
-class PlanExecution:
-    """Tracks which events of a plan have fired (each fires at most once)."""
-
-    def __init__(self, plan: FailurePlan):
-        self._pending = list(plan.events)
-
-    def due_at_tick(self, tick: int) -> list[int]:
-        due = [ev for ev in self._pending if ev.tick is not None and ev.tick <= tick]
-        self._pending = [ev for ev in self._pending if ev not in due]
-        return [ev.node_id for ev in due]
-
-    def due_after_task(self, task_id: str) -> list[int]:
-        due = [ev for ev in self._pending if ev.after_task == task_id]
-        self._pending = [ev for ev in self._pending if ev not in due]
-        return [ev.node_id for ev in due]
-
-
 @dataclass
 class RecoverySummary:
     reverted_running: list[str] = field(default_factory=list)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from typing import Callable
 
 from . import fault
 from .dfs import Cluster, part_file_path
@@ -25,7 +26,7 @@ from .errors import (
     UnknownInput,
 )
 from .executors import TaskResult, make_executor
-from .fault import FailurePlan, PlanExecution
+from .fault import FailureEvent, FailurePlan
 from .jobtypes import (MAX_TASK_ATTEMPTS, JobReport, JobSpec, JobState, Phase, RunOptions,
                        TaskDescriptor, TaskState)
 from .registry import is_combiner_safe, resolve
@@ -79,7 +80,7 @@ class Master:
         self.events: list[dict] = []
         self.tick = 0
         self._busy: dict[int, tuple[str, int]] = {}  # node -> (task_id, attempt)
-        self._plan_exec = PlanExecution(self.plan)
+        self._unfired = list(self.plan.events)
         self._skipped: dict[str, int] = {}
         self._last_error: dict[str, str] = {}
         self._dispatches = {"map": 0, "reduce": 0}
@@ -122,8 +123,7 @@ class Master:
 
     def _loop(self, executor) -> None:
         while True:
-            for node in self._plan_exec.due_at_tick(self.tick):
-                self._kill(node)
+            self._fire(lambda ev: ev.tick is not None and ev.tick <= self.tick)
             for msg in executor.poll():
                 self._handle(msg)
             self._advance_phase()
@@ -225,8 +225,7 @@ class Master:
             if task.kind == "map":
                 task.result_locations = msg.locations
                 self._skipped[task.task_id] = msg.skipped
-            for node in self._plan_exec.due_after_task(task.task_id):
-                self._kill(node)
+            self._fire(lambda ev: ev.after_task == task.task_id)
             return
 
         if msg.shuffle_lost is not None:
@@ -245,6 +244,14 @@ class Master:
 
     def _revert(self, task: TaskDescriptor) -> None:
         fault.revert(task, MAX_TASK_ATTEMPTS, self._last_error.get(task.task_id))
+
+    def _fire(self, due: Callable[[FailureEvent], bool]) -> None:
+        """Kill the node of every unfired plan event that is ``due``, in plan
+        order; each event fires at most once."""
+        fired = [ev for ev in self._unfired if due(ev)]
+        self._unfired = [ev for ev in self._unfired if not due(ev)]
+        for ev in fired:
+            self._kill(ev.node_id)
 
     def _kill(self, node: int) -> None:
         if self.cluster.is_node_dead(node):

@@ -29,9 +29,9 @@ from typing import Callable
 
 from .errors import UnknownFunction
 
-_functions: dict[str, Callable] = {}
-_combiner_ok: set[str] = set()
-_split_forms: dict[str, Callable] = {}
+# id -> (function, combiner-safe, split form or None)
+_entries: dict[str, tuple[Callable, bool, Callable | None]] = {}
+_UNREGISTERED = (None, False, None)
 
 
 def register(fn_id: str, fn: Callable, combiner_safe: bool = False,
@@ -41,21 +41,13 @@ def register(fn_id: str, fn: Callable, combiner_safe: bool = False,
     ``split`` is an optional split form of a record mapper ``fn``, held to
     the contract in this module's docstring.
     """
-    _functions[fn_id] = fn
-    if combiner_safe:
-        _combiner_ok.add(fn_id)
-    else:
-        _combiner_ok.discard(fn_id)
-    if split is None:
-        _split_forms.pop(fn_id, None)
-    else:
-        _split_forms[fn_id] = split
+    _entries[fn_id] = (fn, bool(combiner_safe), split)
 
 
 def resolve(fn_id: str) -> Callable:
     _ensure_builtins()
     try:
-        return _functions[fn_id]
+        return _entries[fn_id][0]
     except KeyError:
         raise UnknownFunction(f"function id {fn_id!r} is not registered") from None
 
@@ -63,17 +55,17 @@ def resolve(fn_id: str) -> Callable:
 def resolve_split(fn_id: str) -> Callable | None:
     """The split form registered with mapper ``fn_id``, or None."""
     _ensure_builtins()
-    return _split_forms.get(fn_id)
+    return _entries.get(fn_id, _UNREGISTERED)[2]
 
 
 def is_combiner_safe(fn_id: str) -> bool:
     _ensure_builtins()
-    return fn_id in _combiner_ok
+    return _entries.get(fn_id, _UNREGISTERED)[1]
 
 
 def registered_ids() -> list[str]:
     _ensure_builtins()
-    return sorted(_functions)
+    return sorted(_entries)
 
 
 def _ensure_builtins() -> None:

@@ -1,5 +1,7 @@
 """Benchmark harness: input generation, matrix runs, ratio reports."""
 
+from dataclasses import replace
+
 import pytest
 
 from minimapred import InvalidConfig, ReportError, register
@@ -94,9 +96,9 @@ def test_matrix_csv_schema_and_roundtrip(tmp_path):
     assert header == "job,workers,size_bytes,repetition,elapsed_seconds," \
                      "map_tasks,reduce_tasks,seed,failed"
     back = read_rows_csv(csv_path)
-    assert [(r.job_id, r.workers, r.size_bytes, r.repetition, r.failed)
-            for r in back] == [
-        (r.job_id, r.workers, r.size_bytes, r.repetition, r.failed) for r in rows]
+    # every field survives; elapsed_seconds is written with 6 decimals
+    assert back == [replace(r, elapsed_seconds=round(r.elapsed_seconds, 6))
+                    for r in rows]
 
 
 def test_matrix_nontiming_fields_deterministic(tmp_path):
@@ -140,6 +142,10 @@ def test_matrix_validation():
         BenchMatrix(sizes=())
     with pytest.raises(InvalidConfig):
         BenchMatrix(repetitions=0)
+    with pytest.raises(InvalidConfig):
+        BenchMatrix(sizes=(64 << 10, 0))
+    with pytest.raises(InvalidConfig):
+        BenchMatrix(worker_counts=(1, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -209,14 +215,70 @@ def test_deviating_cell_flagged():
     assert "DEVIATES" in report.render()
 
 
+def test_report_render_golden():
+    # two jobs, three sizes, workers 1, 2 and 4; rep 1 of every 2-worker
+    # cell failed, and every row of wordcount at 4000 bytes x 4 workers did
+    rows = [row(job, s, w, rep, scale * s / 1000 / w ** 0.8 + jitter,
+                failed=(rep == 1 and w == 2)
+                or (job == "wordcount" and s == 4000 and w == 4))
+            for job, scale in (("uservisits", 1.0), ("wordcount", 3.0))
+            for s in (1000, 2000, 4000)
+            for w in (1, 2, 4)
+            for rep, jitter in enumerate((0.0, 0.5, -0.25))]
+    assert speedup_report(rows, tolerance=0.1).render() == (
+        "job          kind     workers   size_bytes    ratio    ideal  flag\n"
+        "uservisits   speedup        1         1000    1.000    1.000  ok\n"
+        "uservisits   speedup        2         1000    2.225    2.000  DEVIATES\n"
+        "uservisits   speedup        4         1000    3.031    4.000  DEVIATES\n"
+        "uservisits   speedup        1         2000    1.000    1.000  ok\n"
+        "uservisits   speedup        2         2000    1.954    2.000  ok\n"
+        "uservisits   speedup        4         2000    3.031    4.000  DEVIATES\n"
+        "uservisits   speedup        1         4000    1.000    1.000  ok\n"
+        "uservisits   speedup        2         4000    1.841    2.000  ok\n"
+        "uservisits   speedup        4         4000    3.031    4.000  DEVIATES\n"
+        "uservisits   scaling        1         1000    1.000    1.000  ok\n"
+        "uservisits   scaling        1         2000    2.000    2.000  ok\n"
+        "uservisits   scaling        1         4000    4.000    4.000  ok\n"
+        "uservisits   scaling        2         1000    1.000    1.000  ok\n"
+        "uservisits   scaling        2         2000    2.278    2.000  DEVIATES\n"
+        "uservisits   scaling        2         4000    4.835    4.000  DEVIATES\n"
+        "uservisits   scaling        4         1000    1.000    1.000  ok\n"
+        "uservisits   scaling        4         2000    2.000    2.000  ok\n"
+        "uservisits   scaling        4         4000    4.000    4.000  ok\n"
+        "wordcount    speedup        1         1000    1.000    1.000  ok\n"
+        "wordcount    speedup        2         1000    1.877    2.000  ok\n"
+        "wordcount    speedup        4         1000    3.031    4.000  DEVIATES\n"
+        "wordcount    speedup        1         2000    1.000    1.000  ok\n"
+        "wordcount    speedup        2         2000    1.807    2.000  ok\n"
+        "wordcount    speedup        4         2000    3.031    4.000  DEVIATES\n"
+        "wordcount    speedup        1         4000    1.000    1.000  ok\n"
+        "wordcount    speedup        2         4000    1.773    2.000  DEVIATES\n"
+        "wordcount    scaling        1         1000    1.000    1.000  ok\n"
+        "wordcount    scaling        1         2000    2.000    2.000  ok\n"
+        "wordcount    scaling        1         4000    4.000    4.000  ok\n"
+        "wordcount    scaling        2         1000    1.000    1.000  ok\n"
+        "wordcount    scaling        2         2000    2.078    2.000  ok\n"
+        "wordcount    scaling        2         4000    4.235    4.000  ok\n"
+        "wordcount    scaling        4         1000    1.000    1.000  ok\n"
+        "wordcount    scaling        4         2000    2.000    2.000  ok"
+    )
+
+
 def test_plot_data_series_and_header(tmp_path):
     rows = [row(workers=w, size=s, rep=r, elapsed=w + s / 1000)
             for w in (1, 2) for s in (1000, 2000, 3000) for r in (0, 1)]
     path = str(tmp_path / "plot.csv")
     emit_plot_data(rows, path)
-    lines = open(path).read().splitlines()
-    assert lines[0] == "job,workers,size_bytes,elapsed_seconds"
-    assert len(lines) == 1 + 6  # 2 series x 3 sizes, medians collapse reps
+    # 2 series x 3 sizes; the median collapses the repetitions
+    assert open(path).read() == (
+        "job,workers,size_bytes,elapsed_seconds\n"
+        "wordcount,1,1000,2.000000\n"
+        "wordcount,1,2000,3.000000\n"
+        "wordcount,1,3000,4.000000\n"
+        "wordcount,2,1000,3.000000\n"
+        "wordcount,2,2000,4.000000\n"
+        "wordcount,2,3000,5.000000\n"
+    )
     emit_plot_data(rows, str(tmp_path / "plot2.csv"))
     assert open(path).read() == open(str(tmp_path / "plot2.csv")).read()
 

@@ -238,6 +238,8 @@ def test_job_id_that_escapes_runs_dir_exits_2_and_keeps_the_store(tmp_path, caps
     ('{"sizes": ["4KiB"], "reducer": 3}', "'reducer'"),
     ('{"repetitions": 0}', "repetitions"),
     ('{"workers": []}', "worker_counts"),
+    ('{"sizes": [0], "workers": [1], "executor": "serial"}', "sizes"),
+    ('{"sizes": ["4KiB"], "workers": [0, 1], "executor": "serial"}', "worker_counts"),
 ])
 def test_bench_matrix_config_errors_exit_2(tmp_path, capsys, config, message):
     cfg = tmp_path / "matrix.json"
