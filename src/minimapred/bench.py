@@ -101,19 +101,31 @@ class BenchMatrix:
     executor: str = "processes"
 
     def __post_init__(self):
+        bad = [n for n in (*self.sizes, *self.worker_counts, self.repetitions, self.seed,
+                           self.chunk_size, self.replication, self.num_reducers)
+               if type(n) is not int]  # not isinstance: JSON true would pass as 1
+        if bad:
+            raise InvalidConfig(f"matrix sizes and counts must be integers, got {bad[0]!r}")
         for name in ("sizes", "worker_counts"):
             values = getattr(self, name)
             if not values or min(values) < 1:
                 raise InvalidConfig(
                     f"{name} must be non-empty and each >= 1, got {list(values)}")
-        if self.repetitions < 1:
-            raise InvalidConfig("repetitions must be >= 1")
+        for name in ("repetitions", "num_reducers"):
+            if getattr(self, name) < 1:
+                raise InvalidConfig(f"{name} must be >= 1, got {getattr(self, name)}")
+        self.cluster_config()  # checks chunk_size and replication before any cell runs
+
+    def cluster_config(self) -> ClusterConfig:
+        """Every cell's cluster shape: at least 4 nodes, and one per worker."""
+        return ClusterConfig(num_nodes=max(4, max(self.worker_counts)), chunk_size=self.chunk_size,
+                             replication=self.replication, seed=self.seed)
 
     @classmethod
     def from_config(cls, path: str) -> "BenchMatrix":
         """Read a JSON matrix config; a key it leaves out keeps the field's
-        default. Malformed JSON, an unknown key or a bad size or worker list
-        raise InvalidConfig."""
+        default. Malformed JSON, an unknown key or a bad value raise
+        InvalidConfig."""
         with open(path) as f:
             try:
                 raw = json.load(f)
@@ -186,12 +198,11 @@ def run_matrix(
     the measured rows, appending them to ``csv_path`` if given. A failed job
     is recorded with failed=True and the matrix continues."""
     rows = []
-    nodes = max(4, max(matrix.worker_counts))
     for size in matrix.sizes:
         data = input_bytes(matrix.job_id, size, matrix.seed)
         for workers in matrix.worker_counts:
             for rep in range(matrix.repetitions):
-                row = _run_cell(matrix, nodes, size, data, workers, rep, store_parent)
+                row = _run_cell(matrix, size, data, workers, rep, store_parent)
                 rows.append(row)
                 if progress is not None:
                     progress(row)
@@ -201,20 +212,12 @@ def run_matrix(
 
 
 def _run_cell(
-    matrix: BenchMatrix, nodes: int, size: int, data: bytes,
+    matrix: BenchMatrix, size: int, data: bytes,
     workers: int, rep: int, store_parent: str | None,
 ) -> BenchRow:
     root = tempfile.mkdtemp(prefix="bench-", dir=store_parent)
     try:
-        cluster = Cluster.open_disk(
-            root,
-            ClusterConfig(
-                num_nodes=nodes,
-                chunk_size=matrix.chunk_size,
-                replication=matrix.replication,
-                seed=matrix.seed,
-            ),
-        )
+        cluster = Cluster.open_disk(root, matrix.cluster_config())
         meta = cluster.put_file("bench/input", data)
         spec = JobSpec(
             job_id=f"bench-{matrix.job_id}-{size}-{workers}w-r{rep}",

@@ -61,11 +61,10 @@ def execute_task(payload: dict) -> TaskResult:
                 payload["attempt"],
                 payload["node"],
                 payload["split"],
-                resolve(payload["mapper_id"]),
+                resolve_split(payload["mapper_id"]),
                 resolve(payload["combiner_id"]) if payload["combiner_id"] else None,
                 payload["num_reducers"],
                 payload["spill_pairs"],
-                resolve_split(payload["mapper_id"]),
             )
             return TaskResult(ok=True, locations=locations, skipped=skipped, **base)
         run_reduce_task(

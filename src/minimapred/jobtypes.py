@@ -94,8 +94,8 @@ class RunOptions:
 
     workers: int | None = None  # default: one worker per node
     executor: str = "threads"  # "serial" | "threads" | "processes"
-    # map-side buffered values before a spill: emitted pairs on the record
-    # path, and fewer where a split form pre-combines a key's values
+    # map-side buffered values before a spill, checked after each key group:
+    # emitted pairs under per_record, fewer where a split form pre-combines
     spill_pairs: int = SPILL_PAIRS
 
     def __post_init__(self):

@@ -4,8 +4,8 @@ Jobs reference functions by string id so task payloads stay picklable for
 process-based workers. Combiners must be declared associative and
 commutative; the engine refuses undeclared ones.
 
-A mapper id may also carry a *split form*, which the engine runs instead
-of calling the record mapper once per record. It is called as
+The engine runs every mapper through its *split form*: the one registered
+with it, or else ``per_record`` of the record mapper. It is called as
 ``split(records, combiner)``, where ``records`` is the split's
 ``(offset, line)`` iterator and ``combiner`` is the job's resolved
 combiner or None, and it yields ``(key, values)`` groups:
@@ -19,19 +19,20 @@ combiner or None, and it yields ``(key, values)`` groups:
   exactly (compare it by identity), so any other combiner still sees the
   raw values.
 
-A split form cannot skip records, so mappers that raise SkipRecord keep
-only their record form. The record mapper stays the mapper's definition.
+A split form that is a generator may return the number of records it
+skipped (None counts as 0). The record mapper stays the mapper's definition.
 """
 
 from __future__ import annotations
 
 from typing import Callable
 
-from .errors import UnknownFunction
+from .errors import SkipRecord, UnknownFunction
 
-# id -> (function, combiner-safe, split form or None)
-_entries: dict[str, tuple[Callable, bool, Callable | None]] = {}
-_UNREGISTERED = (None, False, None)
+# id -> (function, combiner-safe, split form)
+_entries: dict[str, tuple[Callable, bool, Callable]] = {}
+
+PER_RECORD_WINDOW = 4096  # pairs per_record gathers before it hands them on
 
 
 def register(fn_id: str, fn: Callable, combiner_safe: bool = False,
@@ -39,9 +40,38 @@ def register(fn_id: str, fn: Callable, combiner_safe: bool = False,
     """Register ``fn`` under ``fn_id``, replacing whatever the id had.
 
     ``split`` is an optional split form of a record mapper ``fn``, held to
-    the contract in this module's docstring.
+    the contract in this module's docstring; without it, ``per_record(fn)``.
     """
-    _entries[fn_id] = (fn, bool(combiner_safe), split)
+    _entries[fn_id] = (fn, bool(combiner_safe), split or per_record(fn))
+
+
+def per_record(fn: Callable) -> Callable:
+    """The split form that calls record mapper ``fn`` per record, counts
+    the records it rejects with SkipRecord, and hands on its values grouped
+    per key, in emission order, every ``PER_RECORD_WINDOW`` pairs: a map
+    task running it holds about spill_pairs + PER_RECORD_WINDOW values."""
+    def split(records, combiner):
+        groups: dict[bytes, list[bytes]] = {}
+        skipped = pending = 0
+        for offset, line in records:
+            try:
+                pairs = fn(offset, line)
+            except SkipRecord:
+                skipped += 1
+                continue
+            for k, v in pairs:
+                vals = groups.get(k)
+                if vals is None:
+                    groups[k] = [v]
+                else:
+                    vals.append(v)
+                pending += 1
+            if pending >= PER_RECORD_WINDOW:
+                yield from groups.items()
+                groups, pending = {}, 0
+        yield from groups.items()
+        return skipped
+    return split
 
 
 def resolve(fn_id: str) -> Callable:
@@ -52,15 +82,15 @@ def resolve(fn_id: str) -> Callable:
         raise UnknownFunction(f"function id {fn_id!r} is not registered") from None
 
 
-def resolve_split(fn_id: str) -> Callable | None:
-    """The split form registered with mapper ``fn_id``, or None."""
-    _ensure_builtins()
-    return _entries.get(fn_id, _UNREGISTERED)[2]
+def resolve_split(fn_id: str) -> Callable:
+    """The split form of mapper ``fn_id``; an unknown id raises as in resolve."""
+    resolve(fn_id)
+    return _entries[fn_id][2]
 
 
 def is_combiner_safe(fn_id: str) -> bool:
     _ensure_builtins()
-    return _entries.get(fn_id, _UNREGISTERED)[1]
+    return fn_id in _entries and _entries[fn_id][1]
 
 
 def registered_ids() -> list[str]:

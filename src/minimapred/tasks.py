@@ -14,13 +14,12 @@ runs itself, within one job, in the store's node-local directories.
 A map task buffers values per key and writes one run of sorted groups per
 partition at ``spill_pairs`` buffered values (a spill) and at the end (the
 final run), applying the combiner, if any, once per key at each write. The
-buffer is filled either by calling the record mapper per record, with the
-spill check after each record, or, where the mapper id has a split form
-(see ``registry``), by extending it with the split form's key groups, with
-the spill check after each group. Its spills and final run are its output:
-the only merge is the reducer's k-way merge over every run of every map
-task, where ties on equal keys break by map task index, then spill index,
-then emission order, which makes reducer input fully deterministic.
+buffer is filled from the key groups of the mapper's split form (see
+``registry``), with the spill check after each group. Its spills and final
+run are its output: the only merge is the reducer's k-way merge over every
+run of every map task, where ties on equal keys break by map task index,
+then spill index, then emission order, which makes reducer input fully
+deterministic.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ from operator import itemgetter
 from typing import Callable, Iterable, Iterator
 
 from .dfs import Cluster, InputSplit
-from .errors import NotFound, ShuffleSourceLost, SkipRecord
+from .errors import NotFound, ShuffleSourceLost
 from .hashing import partition_for_key
 from .jobtypes import SPILL_PAIRS
 
@@ -100,32 +99,24 @@ def run_map_task(
     combiner: Callable | None,
     num_reducers: int,
     spill_pairs: int = SPILL_PAIRS,
-    split_mapper: Callable | None = None,
 ) -> tuple[list[tuple[int, tuple[str, ...]]], int]:
-    """Apply the mapper to every record of the split and leave key-sorted
-    runs for each partition on the executing node's local store.
+    """Run the mapper's split form over the split's records and leave
+    key-sorted runs for each partition on the executing node's local store.
 
-    Values are buffered per key in emission order, and keys are assigned
-    to partitions when the buffer is written: at ``spill_pairs`` buffered
-    values as one sorted spill run ``<run>.spill<i>`` per non-empty
-    partition, and at the end as the final run ``run_name(...)`` of every
-    partition, empty or not. The combiner, if any, is applied once per key
-    at each write.
-
-    Without ``split_mapper``, ``mapper`` is called per record and the spill
-    check follows each record, so memory stays O(spill_pairs). Records that
-    the mapper rejects with SkipRecord are counted, not fatal. With
-    ``split_mapper``, the mapper's split form, it is called once on the
-    split's records and the combiner, and the buffer takes each key group
-    it yields, with the spill check after each group; memory is then
-    O(distinct keys of the split), which the split form may hold, plus the
-    spill buffer.
-    Returns (per-partition (node, run names) locations, skipped records);
-    the names are in spill order, which is emission order, final run last.
+    ``mapper(records, combiner)`` is called once, and the buffer takes each
+    key group it yields, values per key in emission order. Keys are
+    assigned to partitions when the buffer is written: at ``spill_pairs``
+    buffered values, checked after each group, as one sorted spill run
+    ``<run>.spill<i>`` per non-empty partition, and at the end as the final
+    run ``run_name(...)`` of every partition, empty or not. The combiner,
+    if any, is applied once per key at each write. Memory is the split
+    form's own state plus the spill buffer.
+    Returns (per-partition (node, run names) locations, skipped records),
+    the split form's return value or 0; the names are in spill order, which
+    is emission order, final run last.
     """
     store = cluster.store
     part_cache: dict[bytes, int] = {}
-    skipped = 0
     buffer: dict[bytes, list[bytes]] = {}  # key -> values in emission order
     spills: list[list[str]] = [[] for _ in range(num_reducers)]
     buffered = 0
@@ -160,35 +151,22 @@ def run_map_task(
                 write(name, run)
                 spills[p].append(name)
 
-    records = cluster.read_split(split)
-    if split_mapper is not None:
-        for k, values in split_mapper(records, combiner):
-            vals = buffer.get(k)
-            if vals is None:
-                buffer[k] = values
-            else:
-                vals.extend(values)
-            buffered += len(values)
-            if buffered >= spill_pairs:
-                spill()
-                buffered = 0
-    else:
-        for offset, line in records:
-            try:
-                pairs = mapper(offset, line)
-            except SkipRecord:
-                skipped += 1
-                continue
-            for k, v in pairs:
-                vals = buffer.get(k)
-                if vals is None:
-                    buffer[k] = [v]
-                else:
-                    vals.append(v)
-                buffered += 1
-            if buffered >= spill_pairs:
-                spill()
-                buffered = 0
+    groups = iter(mapper(cluster.read_split(split), combiner))
+    while True:
+        try:
+            k, values = next(groups)
+        except StopIteration as end:
+            skipped = end.value or 0
+            break
+        vals = buffer.get(k)
+        if vals is None:
+            buffer[k] = values
+        else:
+            vals.extend(values)
+        buffered += len(values)
+        if buffered >= spill_pairs:
+            spill()
+            buffered = 0
 
     locations = []
     for p, run in enumerate(drain()):

@@ -240,6 +240,12 @@ def test_job_id_that_escapes_runs_dir_exits_2_and_keeps_the_store(tmp_path, caps
     ('{"workers": []}', "worker_counts"),
     ('{"sizes": [0], "workers": [1], "executor": "serial"}', "sizes"),
     ('{"sizes": ["4KiB"], "workers": [0, 1], "executor": "serial"}', "worker_counts"),
+    ('{"workers": ["2"]}', "integers, got '2'"),
+    ('{"repetitions": "3"}', "integers, got '3'"),
+    ('{"sizes": [true]}', "integers, got True"),
+    ('{"chunk_size": 0}', "chunk_size"),
+    ('{"reducers": 0}', "num_reducers"),
+    ('{"replication": 9}', "replication"),
 ])
 def test_bench_matrix_config_errors_exit_2(tmp_path, capsys, config, message):
     cfg = tmp_path / "matrix.json"

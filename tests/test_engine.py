@@ -5,6 +5,7 @@ import itertools
 import os
 import random
 from dataclasses import replace
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -36,13 +37,15 @@ from minimapred.tasks import (
 )
 from minimapred.errors import SkipRecord
 from minimapred.jobs import (
+    uservisits_map,
     wordcount_combine,
     wordcount_map,
     wordcount_reduce,
     wordcount_split_map,
 )
 from minimapred.jobtypes import SPILL_PAIRS
-from minimapred.registry import resolve_split
+from minimapred import registry
+from minimapred.registry import per_record, resolve_split
 
 import oracles
 
@@ -241,7 +244,7 @@ def test_non_bytes_mapper_value_fails_at_the_run_write(value):
     c, split = _single_line_cluster(b"alpha beta")
     with pytest.raises(TypeError) as exc:
         run_map_task(c, "j", "map-0", 0, 0, split,
-                     lambda offset, line: [(b"k", value)], None, 1)
+                     per_record(lambda offset, line: [(b"k", value)]), None, 1)
     assert exc.traceback[-1].name == "write_run"
 
 
@@ -249,7 +252,7 @@ def test_non_bytes_mapper_value_fails_at_the_run_write(value):
 def test_non_bytes_combiner_key_fails_at_the_run_write(key):
     c, split = _single_line_cluster(b"alpha beta")
     with pytest.raises(TypeError) as exc:
-        run_map_task(c, "j", "map-0", 0, 0, split, wordcount_map,
+        run_map_task(c, "j", "map-0", 0, 0, split, per_record(wordcount_map),
                      lambda k, vs: [(key, b"1")], 1)
     assert exc.traceback[-1].name == "write_run"
 
@@ -292,7 +295,7 @@ def read_run_pairs(cluster, node, names):
 def test_map_task_sorts_within_partition():
     c, split = _single_line_cluster(b"Algorithm Accent Ajax Algorithm")
     locations, skipped = run_map_task(
-        c, "j", "map-0", 0, 0, split, wordcount_map, None, 1)
+        c, "j", "map-0", 0, 0, split, per_record(wordcount_map), None, 1)
     assert skipped == 0
     assert read_run_pairs(c, *locations[0]) == [
         (b"Accent", b"1"),
@@ -305,7 +308,7 @@ def test_map_task_sorts_within_partition():
 def test_map_task_combiner_pre_aggregates():
     c, split = _single_line_cluster(b"Algorithm Accent Ajax Algorithm")
     locations, _ = run_map_task(
-        c, "j", "map-0", 0, 0, split, wordcount_map, wordcount_combine, 1)
+        c, "j", "map-0", 0, 0, split, per_record(wordcount_map), wordcount_combine, 1)
     assert read_run_pairs(c, *locations[0]) == [
         (b"Accent", b"1"),
         (b"Ajax", b"1"),
@@ -319,7 +322,7 @@ def test_map_task_empty_split_leaves_empty_runs():
     split = c.make_splits(meta)[1]  # starts exactly at "owned2"
     empty = InputSplit(meta.file_id, 5, meta.size, meta.size, (0,))
     locations, skipped = run_map_task(
-        c, "j", "map-5", 0, 0, empty, wordcount_map, None, 3)
+        c, "j", "map-5", 0, 0, empty, per_record(wordcount_map), None, 3)
     assert skipped == 0
     assert locations == [(0, (f"runs/j/map-5.0.{p}",)) for p in range(3)]
     for node, names in locations:
@@ -330,9 +333,9 @@ def test_map_task_spills_produce_identical_runs():
     line = " ".join(f"w{i % 17:02d}" for i in range(500)).encode()
     c1, s1 = _single_line_cluster(line)
     c2, s2 = _single_line_cluster(line)
-    big, _ = run_map_task(c1, "j", "map-0", 0, 0, s1, wordcount_map, None, 2,
+    big, _ = run_map_task(c1, "j", "map-0", 0, 0, s1, per_record(wordcount_map), None, 2,
                           spill_pairs=10**9)
-    small, _ = run_map_task(c2, "j", "map-0", 0, 0, s2, wordcount_map, None, 2,
+    small, _ = run_map_task(c2, "j", "map-0", 0, 0, s2, per_record(wordcount_map), None, 2,
                             spill_pairs=64)
     assert [len(names) for _, names in big] == [1, 1]
     assert all(len(names) > 1 for _, names in small)
@@ -345,7 +348,7 @@ def test_stable_sort_keeps_emission_order_for_equal_keys():
         return [(b"k", str(i).encode()) for i in range(5)]
 
     c, split = _single_line_cluster(b"one-line")
-    locations, _ = run_map_task(c, "j", "map-0", 0, 0, split, emitter, None, 1)
+    locations, _ = run_map_task(c, "j", "map-0", 0, 0, split, per_record(emitter), None, 1)
     values = [v for _, v in read_run_pairs(c, *locations[0])]
     assert values == [b"0", b"1", b"2", b"3", b"4"]
 
@@ -386,7 +389,7 @@ def test_map_task_runs_and_parts_hold_under_spills(records, spill_pairs, reducer
     written = []
     open_write = c.store.open_local_write
     c.store.open_local_write = lambda node, name: written.append(name) or open_write(node, name)
-    locations, _ = run_map_task(c, "j", "map-0", 0, 0, split, _emissions_map,
+    locations, _ = run_map_task(c, "j", "map-0", 0, 0, split, per_record(_emissions_map),
                                 _join_values if combine else None, reducers,
                                 spill_pairs=spill_pairs)
     buffered = itertools.accumulate(len(r) for r in records)
@@ -435,16 +438,16 @@ def _emissions_split(records, combiner):
 def test_split_form_groups_extend_the_buffer_in_emission_order(records, spill_pairs, reducers):
     data = b"".join(b" ".join(k + b"=" + v for k, v in r) + b"\n" for r in records)
 
-    def map_runs(split_mapper):
+    def map_runs(split_form):
         c, split = _single_line_cluster(data)
-        locations, _ = run_map_task(c, "j", "map-0", 0, 0, split, _emissions_map, None,
-                                    reducers, spill_pairs, split_mapper)
+        locations, _ = run_map_task(c, "j", "map-0", 0, 0, split, split_form, None,
+                                    reducers, spill_pairs)
         raw = [run_bytes(c, node, names) for node, names in locations]
         grouped = [list(group_by_key(read_run_groups(c, node, names)))
                    for node, names in locations]
         return raw, grouped
 
-    record_raw, record_grouped = map_runs(None)
+    record_raw, record_grouped = map_runs(per_record(_emissions_map))
     split_raw, split_grouped = map_runs(_emissions_split)
     assert split_grouped == record_grouped
     if spill_pairs > sum(map(len, records)):  # neither side spilled
@@ -472,13 +475,13 @@ def test_wordcount_split_form_matches_record_form(lines, combiner_id, spill_pair
     data = b"".join(b"".join(sep + tok for sep, tok in line) + b"\n" for line in lines)
     combiner = _combiners[combiner_id]
 
-    def map_runs(split_mapper):
+    def map_runs(split_form):
         c, split = _single_line_cluster(data)
         written = []
         open_write = c.store.open_local_write
         c.store.open_local_write = lambda node, name: written.append(name) or open_write(node, name)
-        locations, skipped = run_map_task(c, "j", "map-0", 0, 0, split, wordcount_map,
-                                          combiner, reducers, spill_pairs, split_mapper)
+        locations, skipped = run_map_task(c, "j", "map-0", 0, 0, split, split_form,
+                                          combiner, reducers, spill_pairs)
         assert skipped == 0
         raw = [run_bytes(c, node, names) for node, names in locations]
         # each key's values as one list; a combiner may have pre-combined
@@ -488,7 +491,7 @@ def test_wordcount_split_form_matches_record_form(lines, combiner_id, spill_pair
                    for node, names in locations]
         return any(".spill" in n for n in written), raw, grouped
 
-    spilled, record_raw, record_grouped = map_runs(None)
+    spilled, record_raw, record_grouped = map_runs(per_record(wordcount_map))
     split_spilled, split_raw, split_grouped = map_runs(wordcount_split_map)
     if not spilled and not split_spilled:
         assert split_raw == record_raw
@@ -507,6 +510,39 @@ def test_wordcount_split_form_matches_record_form(lines, combiner_id, spill_pair
         return [c.get_file(part) for part in report.parts]
 
     assert job_parts("wordcount.map") == job_parts("wordcount_record.map")
+
+
+# a visit row's revenue column: None stands for a row of only two fields;
+# b"n/a" does not parse and b"inf" and b"nan" are not finite
+_MALFORMED_REVENUES = (None, b"n/a", b"inf", b"nan")
+_visit_rows = st.lists(
+    st.tuples(st.sampled_from([b"10.0.0.1", b"10.0.0.2", b"10.0.0.3", b"10.9.9.9"]),
+              st.sampled_from([b"12.50", b"0.01", b"7", *_MALFORMED_REVENUES])),
+    min_size=1, max_size=40,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=_visit_rows,
+       spill_pairs=st.one_of(st.integers(1, 20), st.just(10**9)),
+       reducers=st.integers(1, 3),
+       window=st.sampled_from([1, 3, registry.PER_RECORD_WINDOW]))
+def test_per_record_groups_runs_and_counts_skips(rows, spill_pairs, reducers, window):
+    data = b"".join(ip + b"|dest" + (b"" if rev is None else b"|" + rev + b"|agent") + b"\n"
+                    for ip, rev in rows)
+    # key -> values in emission order, from the plain reference loop
+    expected = oracles.sequential_mapreduce(data, uservisits_map, lambda k, vs: [(k, vs)])
+
+    c, split = _single_line_cluster(data)
+    with mock.patch.object(registry, "PER_RECORD_WINDOW", window):
+        locations, skipped = run_map_task(c, "j", "map-0", 0, 0, split,
+                                          per_record(uservisits_map), None, reducers,
+                                          spill_pairs)
+    assert skipped == sum(rev in _MALFORMED_REVENUES for _, rev in rows)
+    for p, (node, names) in enumerate(locations):
+        assert [".spill" in n for n in names] == [True] * (len(names) - 1) + [False]
+        assert list(group_by_key(read_run_groups(c, node, names))) == [
+            (k, vs) for k, vs in expected.items() if partition_for_key(k, reducers) == p]
 
 
 # ---------------------------------------------------------------------------
@@ -828,7 +864,7 @@ def test_mapper_without_split_form_runs_per_record(small_cluster):
 
     register("commented.map", wordcount_map, split=wordcount_split_map)
     register("commented.map", comment_skipping_map)  # re-registering drops the split form
-    assert resolve_split("commented.map") is None
+    assert resolve_split("commented.map") is not wordcount_split_map
     data = b"# a b\nb c\n#\nc c\n"
     small_cluster.put_file("in", data)
     spec = replace(wc_spec(), mapper_id="commented.map")
@@ -836,6 +872,45 @@ def test_mapper_without_split_form_runs_per_record(small_cluster):
     assert res.report.skipped_records == 2
     got = oracles.parse_parts(small_cluster, res.report.parts)
     assert got == {b"b": b"1", b"c": b"3"}
+
+
+def _comment_skipping_split(records, combiner):
+    """Split form that skips comment lines and returns how many it skipped."""
+    kept = []
+    skipped = 0
+    for offset, line in records:
+        if line.startswith(b"#"):
+            skipped += 1
+        else:
+            kept.append((offset, line))
+    yield from wordcount_split_map(kept, combiner)
+    return skipped
+
+
+register("comment_split.map", wordcount_map, split=_comment_skipping_split)
+register("listed_split.map", wordcount_map,
+         split=lambda records, combiner: iter(list(wordcount_split_map(records, combiner))))
+
+
+@pytest.mark.parametrize("executor", ["serial", "threads"])
+def test_split_form_return_value_is_the_skip_count(small_cluster, executor):
+    lines = random_tokens(23).splitlines()
+    data = b"".join(b"# " + line + b"\n" if i % 5 == 0 else line + b"\n"
+                    for i, line in enumerate(lines))
+    small_cluster.put_file("in", data)
+    kept = b"".join(line + b"\n" for i, line in enumerate(lines) if i % 5)
+
+    def run(mapper_id):
+        spec = replace(wc_spec(), mapper_id=mapper_id, output_path=mapper_id)
+        return run_job(small_cluster, spec, RunOptions(executor=executor)).report
+
+    report = run("comment_split.map")
+    assert report.map_tasks > 1
+    assert report.skipped_records == len(lines[::5])
+    assert oracles.parse_parts(small_cluster, report.parts) == {
+        k: str(v).encode() for k, v in oracles.wordcount(kept).items()}
+    # a split form that is a plain iterator has no return value: 0 skipped
+    assert run("listed_split.map").skipped_records == 0
 
 
 def test_reregistered_combiner_loses_its_safety(small_cluster):

@@ -28,6 +28,7 @@ from minimapred import (
 import minimapred.executors as executors
 from minimapred.tasks import run_map_task, shuffle_fetch
 from minimapred.jobs import wordcount_map
+from minimapred.registry import per_record
 
 from test_engine import random_tokens, wc_spec
 
@@ -145,7 +146,7 @@ def test_dead_node_runs_unreadable_then_resolved():
     c = Cluster(ClusterConfig(num_nodes=3, chunk_size=1024, replication=2, seed=5))
     meta = c.put_file("in", b"alpha beta alpha\n")
     [split] = c.make_splits(meta)
-    locations, _ = run_map_task(c, "j", "map-3", 0, 0, split, wordcount_map, None, 1)
+    locations, _ = run_map_task(c, "j", "map-3", 0, 0, split, per_record(wordcount_map), None, 1)
     sources = [(3, "map-3", *locations[0])]
     assert list(shuffle_fetch(c, sources)) == [
         (b"alpha", [b"1", b"1"]), (b"beta", [b"1"])]
@@ -156,7 +157,7 @@ def test_dead_node_runs_unreadable_then_resolved():
     assert exc.value.map_task_id == "map-3"
 
     # re-execution on a live node resolves the loss exactly once
-    relocations, _ = run_map_task(c, "j", "map-3", 1, 1, split, wordcount_map, None, 1)
+    relocations, _ = run_map_task(c, "j", "map-3", 1, 1, split, per_record(wordcount_map), None, 1)
     resolved = [(3, "map-3", *relocations[0])]
     assert list(shuffle_fetch(c, resolved)) == [
         (b"alpha", [b"1", b"1"]), (b"beta", [b"1"])]
@@ -166,15 +167,15 @@ def test_missing_spill_run_loses_its_map_source():
     c = Cluster(ClusterConfig(num_nodes=3, chunk_size=1024, replication=2, seed=5))
     meta = c.put_file("in", b"alpha beta alpha\ngamma alpha\nbeta delta\n")
     [split] = c.make_splits(meta)
-    locations, _ = run_map_task(c, "j", "map-3", 0, 0, split, wordcount_map, None, 1,
+    locations, _ = run_map_task(c, "j", "map-3", 0, 0, split, per_record(wordcount_map), None, 1,
                                 spill_pairs=2)
     node, names = locations[0]
     assert names == tuple(f"runs/j/map-3.0.0.spill{i}" for i in range(3)) + (
         "runs/j/map-3.0.0",)
     sources = [(3, "map-3", node, names)]
+    # the spill check follows each key group: alpha (3), beta (2), gamma+delta
     assert [(k, len(vs)) for k, vs in shuffle_fetch(c, sources)] == [
-        (b"alpha", 2), (b"alpha", 1), (b"beta", 1), (b"beta", 1), (b"delta", 1),
-        (b"gamma", 1)]
+        (b"alpha", 3), (b"beta", 2), (b"delta", 1), (b"gamma", 1)]
 
     c.store.delete_local(node, names[1])
     with pytest.raises(ShuffleSourceLost) as exc:

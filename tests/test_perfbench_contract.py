@@ -17,7 +17,7 @@ import minimapred.fault as fault
 import minimapred.master as master
 import minimapred.tasks as tasks
 from minimapred import Cluster, ClusterConfig, JobSpec, RunOptions, run_job
-from minimapred.jobs import wordcount_map
+from minimapred.jobs import uservisits_lines, wordcount_map
 
 import oracles
 
@@ -86,3 +86,43 @@ def test_tracer_wraps_the_shuffle_path_and_restores_it(tmp_path):
     after = _entry_points()
     assert after.keys() == before.keys()
     assert [k for k in before if after[k] is not before[k]] == []
+
+
+def _malformed_uservisits_input():
+    """uservisits rows where every 7th is malformed, cycling through the three
+    kinds the mapper rejects; returns (data, malformed row count)."""
+    bad = (b"10.0.0.1|two-fields\n", b"10.0.0.1|d|n/a|x\n", b"10.0.0.1|d|inf|x\n")
+    rows = uservisits_lines(300, 5).splitlines(keepends=True)
+    rows[::7] = [bad[i % 3] for i in range(len(rows[::7]))]
+    return b"".join(rows), len(rows[::7])
+
+
+def _uservisits_job(data, mapper_id, reducer_id):
+    c = Cluster(ClusterConfig(num_nodes=3, chunk_size=4096, replication=2, seed=4))
+    c.put_file("in", data)
+    spec = JobSpec(job_id="uv", input_path="in", output_path="out",
+                   mapper_id=mapper_id, reducer_id=reducer_id, num_reducers=2)
+    report = run_job(c, spec, RunOptions(executor="serial")).report
+    return [c.get_file(p) for p in report.parts], report.skipped_records
+
+
+def test_traced_record_mapper_counts_skips_through_per_record(tmp_path):
+    # the tracer registers record-only wrappers, so traced uservisits jobs run
+    # their mapper through registry.per_record, as the traced uv-parallel does
+    tracer_mod = _load_tracer()
+    data, malformed = _malformed_uservisits_input()
+    untraced, untraced_skipped = _uservisits_job(data, "uservisits.map", "uservisits.reduce")
+
+    tracer = tracer_mod.Tracer(str(tmp_path))
+    installation = tracer_mod.Installation(tracer)
+    try:
+        ids = tracer_mod.register_timed_functions(tracer, ["uservisits.map", "uservisits.reduce"])
+        traced, skipped = _uservisits_job(data, ids["uservisits.map"], ids["uservisits.reduce"])
+        spans, _ = tracer.collect()
+    finally:
+        installation.remove()
+
+    assert malformed > 0
+    assert traced == untraced
+    assert skipped == untraced_skipped == malformed
+    assert sum(s["skipped"] for s in spans if s["name"] == "jobs.map") == malformed
