@@ -11,7 +11,7 @@ linear ratios.
 from __future__ import annotations
 
 import csv
-import json
+import math
 import os
 import random
 import shutil
@@ -80,14 +80,6 @@ def input_bytes(job_id: str, size_bytes: int, seed: int) -> bytes:
 # matrix
 
 
-# matrix config key -> BenchMatrix field
-_CONFIG_FIELDS = {
-    "job": "job_id", "sizes": "sizes", "workers": "worker_counts",
-    "repetitions": "repetitions", "seed": "seed", "chunk_size": "chunk_size",
-    "replication": "replication", "reducers": "num_reducers", "executor": "executor",
-}
-
-
 @dataclass(frozen=True)
 class BenchMatrix:
     job_id: str = "wordcount"
@@ -103,7 +95,7 @@ class BenchMatrix:
     def __post_init__(self):
         bad = [n for n in (*self.sizes, *self.worker_counts, self.repetitions, self.seed,
                            self.chunk_size, self.replication, self.num_reducers)
-               if type(n) is not int]  # not isinstance: JSON true would pass as 1
+               if type(n) is not int]  # not isinstance: True is an int and would pass as 1
         if bad:
             raise InvalidConfig(f"matrix sizes and counts must be integers, got {bad[0]!r}")
         for name in ("sizes", "worker_counts"):
@@ -121,34 +113,6 @@ class BenchMatrix:
         return ClusterConfig(num_nodes=max(4, max(self.worker_counts)), chunk_size=self.chunk_size,
                              replication=self.replication, seed=self.seed)
 
-    @classmethod
-    def from_config(cls, path: str) -> "BenchMatrix":
-        """Read a JSON matrix config; a key it leaves out keeps the field's
-        default. Malformed JSON, an unknown key or a bad value raise
-        InvalidConfig."""
-        with open(path) as f:
-            try:
-                raw = json.load(f)
-            except json.JSONDecodeError as e:
-                raise InvalidConfig(f"matrix config {path!r} is not JSON: {e}") from None
-        if not isinstance(raw, dict):
-            raise InvalidConfig(f"matrix config {path!r} must be a JSON object")
-        unknown = sorted(set(raw) - set(_CONFIG_FIELDS))
-        if unknown:
-            raise InvalidConfig(f"unknown matrix config keys {unknown}; "
-                                f"expected some of {sorted(_CONFIG_FIELDS)}")
-        given = {_CONFIG_FIELDS[k]: v for k, v in raw.items()}
-        try:
-            if "sizes" in given:
-                given["sizes"] = tuple(parse_size(v) for v in given["sizes"])
-            if "chunk_size" in given:
-                given["chunk_size"] = parse_size(given["chunk_size"])
-            if "worker_counts" in given:
-                given["worker_counts"] = tuple(given["worker_counts"])
-        except (TypeError, ValueError) as e:
-            raise InvalidConfig(f"bad value in matrix config {path!r}: {e}") from None
-        return cls(**given)
-
 
 @dataclass(frozen=True)
 class BenchRow:
@@ -164,6 +128,8 @@ class BenchRow:
 
 
 def _flag(text: str) -> bool:
+    if text not in ("true", "false"):
+        raise ValueError(f"failed must be true or false, got {text!r}")
     return text == "true"
 
 
@@ -267,10 +233,18 @@ def append_rows_csv(rows: list[BenchRow], path: str) -> None:
 
 
 def read_rows_csv(path: str) -> list[BenchRow]:
+    """Rows of a rows CSV; a missing column or bad value raises InvalidConfig."""
     with open(path, newline="") as f:
-        return [BenchRow(**{name: parse(rec[column])
-                            for column, name, parse in _ROW_SCHEMA})
-                for rec in csv.DictReader(f)]
+        reader = csv.DictReader(f)
+        missing = [c for c in CSV_COLUMNS if c not in (reader.fieldnames or ())]
+        if missing:
+            raise InvalidConfig(f"rows CSV {path!r} has no {missing[0]!r} column")
+        try:
+            return [BenchRow(**{name: parse(rec[column])
+                                for column, name, parse in _ROW_SCHEMA})
+                    for rec in reader]
+        except (TypeError, ValueError) as e:  # a short row gives None values
+            raise InvalidConfig(f"rows CSV {path!r} line {reader.line_num}: {e}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -380,8 +354,6 @@ def emit_plot_data(rows: list[BenchRow], path: str) -> None:
 
 def parse_size(text) -> int:
     """'64MiB' / '350MB' / '4096' -> bytes."""
-    if isinstance(text, int):
-        return text
     s = str(text).strip()
     units = {
         "b": 1,
@@ -392,6 +364,8 @@ def parse_size(text) -> int:
     low = s.lower()
     for unit in sorted(units, key=len, reverse=True):
         if low.endswith(unit):
-            number = low[: -len(unit)].strip()
-            return int(float(number) * units[unit])
+            value = float(low[: -len(unit)].strip()) * units[unit]
+            if not math.isfinite(value):  # int() would raise OverflowError on inf
+                raise ValueError(f"size {s!r} is not a finite number")
+            return int(value)
     return int(s)

@@ -8,13 +8,14 @@ bytes); diagnostics go to stderr.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 import uuid
 
 from . import bench
 from .dfs import Cluster, ClusterConfig
-from .errors import InvalidConfig, JobFailed, MiniMapRedError, ReportError
+from .errors import JobFailed, MiniMapRedError, ReportError
 from .fault import FailurePlan
 from .jobtypes import JobSpec, RunOptions
 from .master import submit_job
@@ -44,22 +45,17 @@ def _given(**flags) -> dict:
 
 
 def _open_cluster(args) -> Cluster:
-    """Open the store, creating it with flag/default config if new; an
-    existing store keeps its persisted config and only explicitly
-    contradicting flags are an error."""
+    """Open the store, creating it with flag/default config if new. Flags
+    left out keep an existing store's persisted config; open_disk rejects
+    flags that contradict it."""
     root = _store_root(args)
-    explicit = _given(num_nodes=args.nodes, chunk_size=args.chunk_size,
-                      replication=args.replication, seed=args.seed)
+    flags = _given(num_nodes=args.nodes, chunk_size=args.chunk_size,
+                   replication=args.replication, seed=args.seed)
     if os.path.exists(os.path.join(root, "cluster.json")):
-        cluster = Cluster.open_disk(root)
-        stored = cluster.config.to_dict()
-        conflicts = {k: v for k, v in explicit.items() if stored[k] != v}
-        if conflicts:
-            raise InvalidConfig(
-                f"store at {root!r} uses {stored}; conflicting flags {conflicts}"
-            )
-        return cluster
-    return Cluster.open_disk(root, ClusterConfig(**explicit))
+        config = Cluster.open_disk(root).config
+    else:
+        config = ClusterConfig()
+    return Cluster.open_disk(root, dataclasses.replace(config, **flags))
 
 
 def _size_list(text: str) -> tuple[int, ...]:
@@ -112,8 +108,6 @@ def build_parser() -> argparse.ArgumentParser:
                         " (repeatable)")
     p.add_argument("--no-combiner", action="store_true",
                    help="disable the job's default combiner")
-    p.add_argument("--combiner", default=None,
-                   help="explicit combiner id (e.g. wordcount.combine)")
     p.add_argument("--job-id", default=None)
 
     p = sub.add_parser("bench", help="run and report scaling benchmarks")
@@ -130,7 +124,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--replication", type=int)
     p.add_argument("--reducers", type=int)
     p.add_argument("--executor", choices=["serial", "threads", "processes"])
-    p.add_argument("--matrix", help="JSON matrix config file (overrides flags)")
     p.add_argument("--full-sizes", action="store_true",
                    help="use the full-scale 350MB/1GB/2GB sizes")
     p.add_argument("--output", default="./bench-out", help="CSV output directory")
@@ -172,9 +165,7 @@ def cmd_dfs(args) -> int:
 def cmd_job(args) -> int:
     cluster = _open_cluster(args)
     plan = FailurePlan.parse(args.fail) if args.fail else None
-    combiner = args.combiner
-    if combiner is None and not args.no_combiner:
-        combiner = bench.default_combiner(args.job_name)
+    combiner = None if args.no_combiner else bench.default_combiner(args.job_name)
     spec = JobSpec(
         job_id=args.job_id or f"{args.job_name}-{uuid.uuid4().hex[:8]}",
         input_path=args.input,
@@ -196,15 +187,12 @@ def cmd_bench(args) -> int:
         print(bench.speedup_report(rows, tolerance=args.tolerance).render())
         return 0
 
-    if args.matrix:
-        matrix = bench.BenchMatrix.from_config(args.matrix)
-    else:
-        matrix = bench.BenchMatrix(**_given(
-            job_id=args.job, sizes=bench.FULL_SIZES if args.full_sizes else args.sizes,
-            worker_counts=args.workers, repetitions=args.reps, seed=args.seed,
-            chunk_size=args.chunk_size, replication=args.replication,
-            num_reducers=args.reducers, executor=args.executor,
-        ))
+    matrix = bench.BenchMatrix(**_given(
+        job_id=args.job, sizes=bench.FULL_SIZES if args.full_sizes else args.sizes,
+        worker_counts=args.workers, repetitions=args.reps, seed=args.seed,
+        chunk_size=args.chunk_size, replication=args.replication,
+        num_reducers=args.reducers, executor=args.executor,
+    ))
     os.makedirs(args.output, exist_ok=True)
     rows_csv = os.path.join(args.output, "rows.csv")
     plot_csv = os.path.join(args.output, "plot.csv")
@@ -233,7 +221,7 @@ def main(argv: list[str] | None = None) -> int:
     except _FAILURE_ERRORS as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
-    except (MiniMapRedError, FileNotFoundError) as e:
+    except (MiniMapRedError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -21,6 +21,7 @@ from . import fault
 from .dfs import Cluster, part_file_path
 from .errors import (
     InvalidConfig,
+    InvalidPlan,
     JobFailed,
     NotFound,
     UnknownInput,
@@ -101,6 +102,12 @@ class Master:
             map_tasks=plan_map_tasks(splits),
             reduce_tasks=plan_reduce_tasks(self.spec.num_reducers),
         )
+        # a misspelt task id would run the job with no failure; a late tick is legal
+        task_ids = {t.task_id for t in self.state.map_tasks + self.state.reduce_tasks}
+        unknown = [ev.after_task for ev in self.plan.events
+                   if ev.after_task is not None and ev.after_task not in task_ids]
+        if unknown:
+            raise InvalidPlan(f"failure plan names tasks not in this job: {unknown}")
         self._advance_phase()
 
         executor = make_executor(self.options.executor, self.workers,

@@ -123,20 +123,6 @@ def test_failed_job_recorded_matrix_continues(tmp_path):
     assert all(r.failed for r in rows)
 
 
-def test_matrix_from_config(tmp_path):
-    cfg = tmp_path / "matrix.json"
-    cfg.write_text(
-        '{"job": "wordcount", "sizes": ["8KiB", 1024], "workers": [1, 3],'
-        ' "repetitions": 2, "seed": 5, "chunk_size": "1KiB",'
-        ' "executor": "serial"}'
-    )
-    m = BenchMatrix.from_config(str(cfg))
-    assert m.sizes == (8192, 1024)
-    assert m.worker_counts == (1, 3)
-    assert m.repetitions == 2
-    assert m.chunk_size == 1024
-
-
 def test_matrix_validation():
     with pytest.raises(InvalidConfig):
         BenchMatrix(sizes=())
@@ -146,6 +132,15 @@ def test_matrix_validation():
         BenchMatrix(sizes=(64 << 10, 0))
     with pytest.raises(InvalidConfig):
         BenchMatrix(worker_counts=(1, 0))
+    with pytest.raises(InvalidConfig):
+        BenchMatrix(worker_counts=())
+    # library callers can pass any type: a str or a bool is not a count
+    with pytest.raises(InvalidConfig, match="integers, got '2'"):
+        BenchMatrix(worker_counts=("2",))
+    with pytest.raises(InvalidConfig, match="integers, got '3'"):
+        BenchMatrix(repetitions="3")
+    with pytest.raises(InvalidConfig, match="integers, got True"):
+        BenchMatrix(sizes=(True,))
 
 
 # ---------------------------------------------------------------------------
@@ -301,3 +296,6 @@ def test_parse_size_units():
     assert parse_size("350MB") == 350 * 10**6
     assert parse_size("2GB") == 2 * 10**9
     assert parse_size("1.5KiB") == 1536
+    for bad in ("infKB", "nanMiB", "1e400KB"):
+        with pytest.raises(ValueError, match="not a finite number"):
+            parse_size(bad)

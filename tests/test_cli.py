@@ -232,25 +232,16 @@ def test_job_id_that_escapes_runs_dir_exits_2_and_keeps_the_store(tmp_path, caps
     assert capsys.readouterr().out == src.read_text()
 
 
-@pytest.mark.parametrize("config, message", [
-    ('{"sizes": ["12XB"]}', "bad value"),
-    ('{"sizes": ["4KiB"],', "not JSON"),
-    ('{"sizes": ["4KiB"], "reducer": 3}', "'reducer'"),
-    ('{"repetitions": 0}', "repetitions"),
-    ('{"workers": []}', "worker_counts"),
-    ('{"sizes": [0], "workers": [1], "executor": "serial"}', "sizes"),
-    ('{"sizes": ["4KiB"], "workers": [0, 1], "executor": "serial"}', "worker_counts"),
-    ('{"workers": ["2"]}', "integers, got '2'"),
-    ('{"repetitions": "3"}', "integers, got '3'"),
-    ('{"sizes": [true]}', "integers, got True"),
-    ('{"chunk_size": 0}', "chunk_size"),
-    ('{"reducers": 0}', "num_reducers"),
-    ('{"replication": 9}', "replication"),
+@pytest.mark.parametrize("flags, message", [
+    ("--reps 0", "repetitions"),
+    ("--sizes 0", "sizes"),
+    ("--workers 0,1", "worker_counts"),
+    ("--chunk-size 0", "chunk_size"),
+    ("--reducers 0", "num_reducers"),
+    ("--replication 9", "replication"),
 ])
-def test_bench_matrix_config_errors_exit_2(tmp_path, capsys, config, message):
-    cfg = tmp_path / "matrix.json"
-    cfg.write_text(config)
-    assert run_cli("bench", "run", "--matrix", str(cfg),
+def test_bench_matrix_flag_errors_exit_2(tmp_path, capsys, flags, message):
+    assert run_cli("bench", "run", *flags.split(), "--executor", "serial",
                    "--output", str(tmp_path / "b")) == 2
     err = capsys.readouterr().err
     assert "error:" in err and message in err
@@ -264,6 +255,18 @@ def test_bench_bad_size_flag_is_a_usage_error(tmp_path, capsys):
     assert "--sizes" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["bench", "run", "--sizes", "infKB"],
+    ["dfs", "put", "f", "x", "--chunk-size", "1e400KB"],
+], ids=["bench-sizes", "dfs-chunk-size"])
+def test_non_finite_size_flag_is_a_usage_error(tmp_path, capsys, argv):
+    (tmp_path / "f").write_bytes(b"x")
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv)
+    assert exc.value.code == 2
+    assert argv[-2] in capsys.readouterr().err
+
+
 def test_bench_flags_and_config_left_out_keep_matrix_defaults(tmp_path, monkeypatch):
     seen = []
 
@@ -272,10 +275,30 @@ def test_bench_flags_and_config_left_out_keep_matrix_defaults(tmp_path, monkeypa
         raise ReportError("not run")
 
     monkeypatch.setattr(bench, "run_matrix", fake_run_matrix)
-    cfg = tmp_path / "matrix.json"
-    cfg.write_text('{"sizes": ["4KiB"], "workers": [1, 3]}')
     assert run_cli("bench", "run", "--sizes", "4KiB", "--workers", "1,3",
                    "--output", str(tmp_path / "a")) == 3
-    assert run_cli("bench", "run", "--matrix", str(cfg),
-                   "--output", str(tmp_path / "b")) == 3
-    assert seen == [bench.BenchMatrix(sizes=(4096,), worker_counts=(1, 3))] * 2
+    assert seen == [bench.BenchMatrix(sizes=(4096,), worker_counts=(1, 3))]
+
+
+def test_local_path_that_is_a_directory_exits_2(tmp_path, capsys):
+    src = tmp_path / "f"
+    src.write_bytes(b"x")
+    assert run_cli("dfs", "put", str(tmp_path), "d") == 2
+    assert "error:" in capsys.readouterr().err
+    assert run_cli("dfs", "put", str(src), "f") == 0
+    assert run_cli("dfs", "get", "f", "--output", str(tmp_path)) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, message", [
+    ("job,workers\nwordcount,1\n", "no 'size_bytes' column"),
+    (",".join(bench.CSV_COLUMNS) + "\nwordcount,one,4096,0,1.0,4,2,42,false\n", "line 2"),
+    (",".join(bench.CSV_COLUMNS) + "\nwordcount,1,4096\n", "line 2"),
+    (",".join(bench.CSV_COLUMNS) + "\nwordcount,1,4096,0,1.0,4,2,42,yes\n", "line 2"),
+], ids=["missing-column", "bad-int", "short-row", "bad-flag"])
+def test_bench_report_malformed_csv_exits_2(tmp_path, capsys, text, message):
+    rows = tmp_path / "rows.csv"
+    rows.write_text(text)
+    assert run_cli("bench", "report", "--csv", str(rows)) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and str(rows) in err and message in err

@@ -71,6 +71,23 @@ def test_validate_node_range_and_duplicates():
         FailurePlan.parse(["1:5", "1:after:map-0"]).validate(4)
 
 
+def test_plan_naming_a_task_the_job_lacks_is_rejected_before_it_runs(tmp_path):
+    c = Cluster.open_disk(str(tmp_path / "store"),
+                          ClusterConfig(num_nodes=4, chunk_size=512, replication=2, seed=3))
+    c.put_file("in", random_tokens(31, n=300))
+    with pytest.raises(InvalidPlan) as exc:
+        run_job(c, wc_spec(), RunOptions(executor="serial"),
+                FailurePlan.parse(["1:after:map-99", "2:after:mpa-1"]))
+    assert "'map-99'" in str(exc.value) and "'mpa-1'" in str(exc.value)
+    assert c.live_nodes() == [0, 1, 2, 3]
+    assert not any(os.path.exists(os.path.join(c.store.root, f"node{n}", "local", "runs"))
+                   for n in range(4))
+    # a tick past the job's end is legal and never fires
+    res = run_job(c, wc_spec(), RunOptions(executor="serial"), FailurePlan.parse(["1:999"]))
+    assert res.report.phase == "done"
+    assert c.live_nodes() == [0, 1, 2, 3]
+
+
 # ---------------------------------------------------------------------------
 # recover() rules
 
