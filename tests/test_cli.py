@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from minimapred import ReportError, bench
+from minimapred import ReportError, bench, cli
 from minimapred.cli import main
 
 
@@ -242,6 +242,32 @@ def test_job_id_that_escapes_runs_dir_exits_2_and_keeps_the_store(tmp_path, caps
 ])
 def test_bench_matrix_flag_errors_exit_2(tmp_path, capsys, flags, message):
     assert run_cli("bench", "run", *flags.split(), "--executor", "serial",
+                   "--output", str(tmp_path / "b")) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and message in err
+    assert not (tmp_path / "b").exists()
+
+
+# Values no flag can spell (a str or bool count, an empty list) but a library
+# caller can pass; they reach BenchMatrix beside the flags through _given. The
+# ids keep the names these cases had as JSON matrix configs.
+@pytest.mark.parametrize("settings, message", [
+    ({"repetitions": "3"}, "integers, got '3'"),
+    ({"sizes": ("12XB",)}, "integers, got '12XB'"),
+    ({"sizes": (True,)}, "integers, got True"),
+    ({"worker_counts": ("2",)}, "integers, got '2'"),
+    ({"worker_counts": ()}, "worker_counts"),
+], ids=[
+    '{"repetitions": "3"}-integers, got \'3\'',
+    '{"sizes": ["12XB"]}-bad value',
+    '{"sizes": [true]}-integers, got True',
+    '{"workers": ["2"]}-integers, got \'2\'',
+    '{"workers": []}-worker_counts',
+])
+def test_bench_matrix_config_errors_exit_2(tmp_path, capsys, monkeypatch, settings, message):
+    given = cli._given
+    monkeypatch.setattr(cli, "_given", lambda **flags: {**given(**flags), **settings})
+    assert run_cli("bench", "run", "--executor", "serial",
                    "--output", str(tmp_path / "b")) == 2
     err = capsys.readouterr().err
     assert "error:" in err and message in err
