@@ -297,8 +297,11 @@ def speedup_report(rows: list[BenchRow], tolerance: float = 0.5) -> Report:
     (per size); scaling(s) = median elapsed at size s / median elapsed at
     the smallest size (per worker count). Cells with no successful row are
     skipped, but a missing baseline raises ReportError. Entries deviating
-    from the ideal ratio by more than ``tolerance`` (relative) are flagged.
+    from the ideal ratio by more than ``tolerance`` (relative) are flagged;
+    a tolerance that is not finite or is below 0 raises InvalidConfig.
     """
+    if not (math.isfinite(tolerance) and tolerance >= 0):
+        raise InvalidConfig(f"tolerance must be finite and >= 0, got {tolerance}")
     if not rows:
         raise ReportError("no rows to report on")
     medians = cell_medians(rows)

@@ -339,15 +339,18 @@ class Cluster:
     def open_disk(cls, root: str, config: ClusterConfig | None = None) -> "Cluster":
         """Open (or create) a disk-backed cluster rooted at ``root``.
 
-        The cluster config is persisted alongside the data; reopening with a
-        conflicting explicit config is an error, since placement and chunking
-        of already-stored files depend on it.
+        The cluster config is persisted alongside the data by atomic rename;
+        reopening with a conflicting explicit config, or over an unreadable
+        one, is an error, since placement and chunking of stored files depend on it.
         """
-        os.makedirs(root, exist_ok=True)
+        store = DiskStore(root)
         cfg_path = os.path.join(root, _CONFIG_FILE)
         if os.path.exists(cfg_path):
-            with open(cfg_path, "r") as f:
-                stored = ClusterConfig(**json.load(f))
+            try:
+                with open(cfg_path, "rb") as f:
+                    stored = ClusterConfig(**json.load(f))
+            except (ValueError, TypeError) as e:
+                raise InvalidConfig(f"unreadable cluster config {cfg_path!r}: {e}") from None
             if config is not None and config != stored:
                 raise InvalidConfig(
                     f"store at {root!r} was created with {stored.to_dict()}, "
@@ -356,9 +359,8 @@ class Cluster:
             config = stored
         else:
             config = config if config is not None else ClusterConfig()
-            with open(cfg_path, "w") as f:
-                json.dump(config.to_dict(), f)
-        return cls(config, DiskStore(root))
+            store._atomic_write(cfg_path, json.dumps(config.to_dict()).encode())
+        return cls(config, store)
 
     # -- liveness ----------------------------------------------------------
 

@@ -1,7 +1,7 @@
 """Worker execution backends.
 
-The master only sees (node, payload) submissions and TaskResult messages,
-so the same scheduling loop drives three backends:
+The master only sees (node, payload) submissions and jobtypes.TaskResult
+messages, so the same scheduling loop drives three backends:
 
 - serial: submissions run synchronously in node order when the master next
   polls. Fully deterministic ticks; the default for tests.
@@ -24,24 +24,11 @@ master's own object.
 from __future__ import annotations
 
 from concurrent import futures
-from dataclasses import dataclass
 
 from .errors import InvalidConfig, ShuffleSourceLost
+from .jobtypes import TaskResult
 from .registry import resolve, resolve_split
 from .tasks import run_map_task, run_reduce_task
-
-
-@dataclass
-class TaskResult:
-    task_id: str
-    attempt: int
-    node: int
-    ok: bool
-    # map: per partition, (node, run names) in spill order, final run last
-    locations: list[tuple[int, tuple[str, ...]]] | None = None
-    skipped: int = 0
-    shuffle_lost: str | None = None  # map task whose runs were missing
-    error: str | None = None
 
 
 def execute_task(payload: dict) -> TaskResult:
@@ -54,7 +41,7 @@ def execute_task(payload: dict) -> TaskResult:
     try:
         cluster = payload["cluster"]
         if payload["kind"] == "map":
-            locations, skipped = run_map_task(
+            runs, skipped = run_map_task(
                 cluster,
                 payload["job_id"],
                 payload["task_id"],
@@ -66,7 +53,7 @@ def execute_task(payload: dict) -> TaskResult:
                 payload["num_reducers"],
                 payload["spill_pairs"],
             )
-            return TaskResult(ok=True, locations=locations, skipped=skipped, **base)
+            return TaskResult(ok=True, runs=runs, skipped=skipped, **base)
         run_reduce_task(
             cluster,
             payload["partition"],

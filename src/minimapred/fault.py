@@ -80,31 +80,30 @@ def revert(task: TaskDescriptor, max_attempts: int, detail: str | None = None) -
                         + (f": {detail}" if detail else ""))
     task.state = TaskState.PENDING
     task.assigned_node = None
-    task.result_locations = None
+    task.result = None
 
 
 def recover(job: JobState, dead_node: int, max_attempts: int) -> RecoverySummary:
     """Apply the recovery rules for one confirmed-dead node.
 
-    Running tasks on the node are lost. Completed map tasks whose runs lived
-    there go back to pending (their output was node-local). Completed reduce
-    tasks are untouched (their output is replicated). If map work was lost
-    while reducing, every not-yet-completed reducer has to rebuild its merge
-    from the re-executed runs, so running reducers are reverted too. The
-    phase is left to the master, which moves it back to mapping and logs
-    the change.
+    Every task assigned to the node is looked at once. A running one is
+    lost and goes back to pending. A completed map goes back to pending
+    too, since its runs lived on the node that ran it. A completed reduce
+    is untouched (its output is replicated). If map work was lost while
+    reducing, every not-yet-completed reducer has to rebuild its merge from
+    the re-executed runs, so running reducers are reverted too. The phase
+    is left to the master, which moves it back to mapping and logs the
+    change.
     """
     summary = RecoverySummary()
 
     for task in job.map_tasks + job.reduce_tasks:
-        if task.state is TaskState.RUNNING and task.assigned_node == dead_node:
+        if task.assigned_node != dead_node:
+            continue
+        if task.state is TaskState.RUNNING:
             revert(task, max_attempts)
             summary.reverted_running.append(task.task_id)
-
-    for task in job.map_tasks:
-        if task.state is TaskState.COMPLETED and any(
-            node == dead_node for node, _ in (task.result_locations or [])
-        ):
+        elif task.state is TaskState.COMPLETED and task.kind == "map":
             revert(task, max_attempts)
             summary.reverted_completed_maps.append(task.task_id)
 

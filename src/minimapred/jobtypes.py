@@ -1,4 +1,5 @@
-"""Job, task and report types shared by the master, workers and CLI."""
+"""Job, task and report types shared by the master, workers and CLI. A
+completed task keeps the TaskResult the master accepted for it."""
 
 from __future__ import annotations
 
@@ -40,14 +41,29 @@ class TaskState(enum.Enum):
 
 
 @dataclass
+class TaskResult:
+    """A worker's reply for one task attempt, or for a pool-level failure
+    (attempt -1). A map's ``runs`` are each partition's run names on
+    ``node``, in spill order, final run last."""
+
+    task_id: str
+    attempt: int
+    node: int
+    ok: bool
+    runs: list[tuple[str, ...]] | None = None
+    skipped: int = 0
+    shuffle_lost: str | None = None  # map task whose runs were missing
+    error: str | None = None
+
+
+@dataclass
 class TaskDescriptor:
     """Master-side bookkeeping for one map or reduce task.
 
     ``attempt`` counts re-assignments: 0 for a task that ran (or will run)
     once, +1 every time the task is sent back to pending after a failure or
-    a lost result. For completed map tasks ``result_locations`` holds one
-    (node, run names) pair per reduce partition: the partition's spill runs
-    in spill order, then its final run.
+    a lost result. ``result`` is the accepted attempt's message while the
+    task is completed, and None otherwise.
     """
 
     task_id: str
@@ -56,7 +72,7 @@ class TaskDescriptor:
     state: TaskState = TaskState.PENDING
     attempt: int = 0
     assigned_node: int | None = None
-    result_locations: list[tuple[int, tuple[str, ...]]] | None = None
+    result: TaskResult | None = None
 
     @property
     def index(self) -> int:

@@ -9,6 +9,8 @@ so a node killed by an earlier job on the same store gets no work. Workers
 only talk back through TaskResult messages; a message whose attempt number
 no longer matches the task's is stale (the task was reverted meanwhile) and
 is dropped, which is what makes re-execution safe under any interleaving.
+The accepted message stays on its task as the one record of its outcome
+until a revert clears it; shuffle sources and the skip count read it.
 """
 
 from __future__ import annotations
@@ -26,10 +28,10 @@ from .errors import (
     NotFound,
     UnknownInput,
 )
-from .executors import TaskResult, make_executor
+from .executors import make_executor
 from .fault import FailureEvent, FailurePlan
 from .jobtypes import (MAX_TASK_ATTEMPTS, JobReport, JobSpec, JobState, Phase, RunOptions,
-                       TaskDescriptor, TaskState)
+                       TaskDescriptor, TaskResult, TaskState)
 from .registry import is_combiner_safe, resolve
 from .schedule import plan_map_tasks, plan_reduce_tasks, schedule
 
@@ -82,10 +84,7 @@ class Master:
         self.tick = 0
         self._busy: dict[int, tuple[str, int]] = {}  # node -> (task_id, attempt)
         self._unfired = list(self.plan.events)
-        self._skipped: dict[str, int] = {}
-        self._last_error: dict[str, str] = {}
         self._dispatches = {"map": 0, "reduce": 0}
-        self._re_executed_maps = 0
 
     # -- public ------------------------------------------------------------
 
@@ -197,10 +196,8 @@ class Master:
             payload.update(
                 partition=partition,
                 reducer_id=self.spec.reducer_id,
-                sources=[
-                    (m.index, m.task_id, *m.result_locations[partition])
-                    for m in self.state.map_tasks
-                ],
+                sources=[(m.index, m.task_id, m.assigned_node, m.result.runs[partition])
+                         for m in self.state.map_tasks],
                 output_path=self.spec.output_path,
             )
         executor.submit(node, payload)
@@ -227,11 +224,9 @@ class Master:
 
         if msg.ok:
             task.state = TaskState.COMPLETED
+            task.result = msg
             self._log("complete", task=task.task_id, attempt=task.attempt,
                       node=msg.node)
-            if task.kind == "map":
-                task.result_locations = msg.locations
-                self._skipped[task.task_id] = msg.skipped
             self._fire(lambda ev: ev.after_task == task.task_id)
             return
 
@@ -239,18 +234,12 @@ class Master:
             # a reducer found a source run unreadable: re-execute that map
             lost = self.state.task(msg.shuffle_lost)
             if lost.state is TaskState.COMPLETED:
-                self._revert(lost)
-                self._re_executed_maps += 1
-            self._revert(task)
-            return
-
-        self._log("task_failed", task=task.task_id, attempt=task.attempt,
-                  node=msg.node, error=msg.error)
-        self._last_error[task.task_id] = msg.error or "unknown error"
-        self._revert(task)
-
-    def _revert(self, task: TaskDescriptor) -> None:
-        fault.revert(task, MAX_TASK_ATTEMPTS, self._last_error.get(task.task_id))
+                fault.revert(lost, MAX_TASK_ATTEMPTS, msg.error)
+                self._log("reexecute_completed_map", task=lost.task_id)
+        else:
+            self._log("task_failed", task=task.task_id, attempt=task.attempt,
+                      node=msg.node, error=msg.error)
+        fault.revert(task, MAX_TASK_ATTEMPTS, msg.error)
 
     def _fire(self, due: Callable[[FailureEvent], bool]) -> None:
         """Kill the node of every unfired plan event that is ``due``, in plan
@@ -266,7 +255,6 @@ class Master:
         self._log("node_dead", node=node)
         self.cluster.mark_node_dead(node)
         summary = fault.recover(self.state, node, MAX_TASK_ATTEMPTS)
-        self._re_executed_maps += len(summary.reverted_completed_maps)
         for task_id in summary.reverted_completed_maps:
             self._log("reexecute_completed_map", task=task_id)
         for task_id in summary.restarted_reduces:
@@ -311,8 +299,9 @@ class Master:
             parts=parts,
             map_tasks=len(self.state.map_tasks),
             reduce_tasks=len(self.state.reduce_tasks),
-            re_executed_completed_maps=self._re_executed_maps,
-            skipped_records=sum(self._skipped.values()),
+            re_executed_completed_maps=sum(
+                e["event"] == "reexecute_completed_map" for e in self.events),
+            skipped_records=sum(t.result.skipped for t in self.state.map_tasks if t.result),
             tasks=[
                 {
                     "task_id": t.task_id,

@@ -99,7 +99,7 @@ def run_map_task(
     combiner: Callable | None,
     num_reducers: int,
     spill_pairs: int = SPILL_PAIRS,
-) -> tuple[list[tuple[int, tuple[str, ...]]], int]:
+) -> tuple[list[tuple[str, ...]], int]:
     """Run the mapper's split form over the split's records and leave
     key-sorted runs for each partition on the executing node's local store.
 
@@ -111,9 +111,9 @@ def run_map_task(
     run ``run_name(...)`` of every partition, empty or not. The combiner,
     if any, is applied once per key at each write. Memory is the split
     form's own state plus the spill buffer.
-    Returns (per-partition (node, run names) locations, skipped records),
-    the split form's return value or 0; the names are in spill order, which
-    is emission order, final run last.
+    Returns (each partition's run names on ``node``, skipped records), the
+    skip count being the split form's return value or 0; the names are in
+    spill order, which is emission order, final run last.
     """
     store = cluster.store
     part_cache: dict[bytes, int] = {}
@@ -168,12 +168,12 @@ def run_map_task(
             spill()
             buffered = 0
 
-    locations = []
+    runs = []
     for p, run in enumerate(drain()):
         name = run_name(job_id, task_id, attempt, p)
         write(name, run)
-        locations.append((node, (*spills[p], name)))
-    return locations, skipped
+        runs.append((*spills[p], name))
+    return runs, skipped
 
 
 # ---------------------------------------------------------------------------

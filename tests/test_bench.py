@@ -210,6 +210,17 @@ def test_deviating_cell_flagged():
     assert "DEVIATES" in report.render()
 
 
+@pytest.mark.parametrize("tolerance", [float("nan"), float("inf"), -1.0])
+def test_tolerance_not_finite_or_negative_rejected(tolerance):
+    # a speedup of 5.0 against an ideal of 2.0
+    rows = [row(workers=1, elapsed=5.0), row(workers=2, elapsed=1.0)]
+    with pytest.raises(InvalidConfig, match="tolerance"):
+        speedup_report(rows, tolerance=tolerance)
+    [entry] = [e for e in speedup_report(rows, tolerance=0.0).entries
+               if e.kind == "speedup" and e.workers == 2]
+    assert entry.value == pytest.approx(5.0) and entry.flagged
+
+
 def test_report_render_golden():
     # two jobs, three sizes, workers 1, 2 and 4; rep 1 of every 2-worker
     # cell failed, and every row of wordcount at 4000 bytes x 4 workers did

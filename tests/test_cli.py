@@ -154,6 +154,17 @@ def test_conflicting_flags_on_existing_store_exit_2(tmp_path, capsys):
     assert run_cli("dfs", "ls") == 0  # omitted flags use the stored config
 
 
+@pytest.mark.parametrize("text", ["", '{"num_nodes": 4, "bogus": 1}'],
+                         ids=["empty", "unknown-key"])
+def test_unreadable_cluster_config_exits_2(tmp_path, capsys, text):
+    store = tmp_path / "store"
+    store.mkdir()
+    (store / "cluster.json").write_text(text)
+    assert run_cli("dfs", "ls", "--store-root", str(store)) == 2
+    err = capsys.readouterr().err
+    assert "error: unreadable cluster config" in err and "cluster.json" in err
+
+
 def test_bench_run_minimal_matrix(tmp_path, capsys):
     code = run_cli(
         "bench", "run", "--sizes", "4KiB", "--workers", "1,2", "--reps", "1",
@@ -328,3 +339,14 @@ def test_bench_report_malformed_csv_exits_2(tmp_path, capsys, text, message):
     assert run_cli("bench", "report", "--csv", str(rows)) == 2
     err = capsys.readouterr().err
     assert "error:" in err and str(rows) in err and message in err
+
+
+@pytest.mark.parametrize("tolerance", ["nan", "-1"])
+def test_bench_report_bad_tolerance_exits_2(tmp_path, capsys, tolerance):
+    rows = tmp_path / "rows.csv"
+    rows.write_text(",".join(bench.CSV_COLUMNS) + "\nwordcount,1,4096,0,5.0,4,2,42,false\n"
+                    "wordcount,2,4096,0,1.0,4,2,42,false\n")
+    assert run_cli("bench", "report", "--csv", str(rows), f"--tolerance={tolerance}") == 2
+    assert "error: tolerance must be finite and >= 0" in capsys.readouterr().err
+    assert run_cli("bench", "report", "--csv", str(rows), "--tolerance=0.5") == 0
+    assert "DEVIATES" in capsys.readouterr().out

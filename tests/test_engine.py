@@ -294,10 +294,10 @@ def read_run_pairs(cluster, node, names):
 
 def test_map_task_sorts_within_partition():
     c, split = _single_line_cluster(b"Algorithm Accent Ajax Algorithm")
-    locations, skipped = run_map_task(
+    runs, skipped = run_map_task(
         c, "j", "map-0", 0, 0, split, per_record(wordcount_map), None, 1)
     assert skipped == 0
-    assert read_run_pairs(c, *locations[0]) == [
+    assert read_run_pairs(c, 0, runs[0]) == [
         (b"Accent", b"1"),
         (b"Ajax", b"1"),
         (b"Algorithm", b"1"),
@@ -307,9 +307,9 @@ def test_map_task_sorts_within_partition():
 
 def test_map_task_combiner_pre_aggregates():
     c, split = _single_line_cluster(b"Algorithm Accent Ajax Algorithm")
-    locations, _ = run_map_task(
+    runs, _ = run_map_task(
         c, "j", "map-0", 0, 0, split, per_record(wordcount_map), wordcount_combine, 1)
-    assert read_run_pairs(c, *locations[0]) == [
+    assert read_run_pairs(c, 0, runs[0]) == [
         (b"Accent", b"1"),
         (b"Ajax", b"1"),
         (b"Algorithm", b"2"),
@@ -321,12 +321,12 @@ def test_map_task_empty_split_leaves_empty_runs():
     meta = c.put_file("in", b"ignored1\nowned2\n")
     split = c.make_splits(meta)[1]  # starts exactly at "owned2"
     empty = InputSplit(meta.file_id, 5, meta.size, meta.size, (0,))
-    locations, skipped = run_map_task(
+    runs, skipped = run_map_task(
         c, "j", "map-5", 0, 0, empty, per_record(wordcount_map), None, 3)
     assert skipped == 0
-    assert locations == [(0, (f"runs/j/map-5.0.{p}",)) for p in range(3)]
-    for node, names in locations:
-        assert read_run_pairs(c, node, names) == []
+    assert runs == [(f"runs/j/map-5.0.{p}",) for p in range(3)]
+    for names in runs:
+        assert read_run_pairs(c, 0, names) == []
 
 
 def test_map_task_spills_produce_identical_runs():
@@ -337,10 +337,10 @@ def test_map_task_spills_produce_identical_runs():
                           spill_pairs=10**9)
     small, _ = run_map_task(c2, "j", "map-0", 0, 0, s2, per_record(wordcount_map), None, 2,
                             spill_pairs=64)
-    assert [len(names) for _, names in big] == [1, 1]
-    assert all(len(names) > 1 for _, names in small)
-    for (n1, r1), (n2, r2) in zip(big, small):
-        assert read_run_pairs(c1, n1, r1) == read_run_pairs(c2, n2, r2)
+    assert [len(names) for names in big] == [1, 1]
+    assert all(len(names) > 1 for names in small)
+    for r1, r2 in zip(big, small):
+        assert read_run_pairs(c1, 0, r1) == read_run_pairs(c2, 0, r2)
 
 
 def test_stable_sort_keeps_emission_order_for_equal_keys():
@@ -348,8 +348,8 @@ def test_stable_sort_keeps_emission_order_for_equal_keys():
         return [(b"k", str(i).encode()) for i in range(5)]
 
     c, split = _single_line_cluster(b"one-line")
-    locations, _ = run_map_task(c, "j", "map-0", 0, 0, split, per_record(emitter), None, 1)
-    values = [v for _, v in read_run_pairs(c, *locations[0])]
+    runs, _ = run_map_task(c, "j", "map-0", 0, 0, split, per_record(emitter), None, 1)
+    values = [v for _, v in read_run_pairs(c, 0, runs[0])]
     assert values == [b"0", b"1", b"2", b"3", b"4"]
 
 
@@ -389,20 +389,20 @@ def test_map_task_runs_and_parts_hold_under_spills(records, spill_pairs, reducer
     written = []
     open_write = c.store.open_local_write
     c.store.open_local_write = lambda node, name: written.append(name) or open_write(node, name)
-    locations, _ = run_map_task(c, "j", "map-0", 0, 0, split, per_record(_emissions_map),
-                                _join_values if combine else None, reducers,
-                                spill_pairs=spill_pairs)
+    runs, _ = run_map_task(c, "j", "map-0", 0, 0, split, per_record(_emissions_map),
+                           _join_values if combine else None, reducers,
+                           spill_pairs=spill_pairs)
     buffered = itertools.accumulate(len(r) for r in records)
     assert any(".spill" in n for n in written) == any(n >= spill_pairs for n in buffered)
     # every run written is output, each listed once, spills first
-    assert sorted(n for _, names in locations for n in names) == sorted(written)
-    for (node, names), part_keys in zip(locations, keys):
+    assert sorted(n for names in runs for n in names) == sorted(written)
+    for names, part_keys in zip(runs, keys):
         assert [".spill" in n for n in names] == [True] * (len(names) - 1) + [False]
         if not combine:
-            assert read_run_pairs(c, node, names) == sorted(
+            assert read_run_pairs(c, 0, names) == sorted(
                 (kv for kv in emitted if kv[0] in part_keys), key=lambda kv: kv[0])
         joined = [(k, b",".join(vs))
-                  for k, vs in group_by_key(read_run_groups(c, node, names))]
+                  for k, vs in group_by_key(read_run_groups(c, 0, names))]
         assert joined == [(k, b",".join(values[k])) for k in part_keys]
 
     def job_parts(spill):
@@ -440,11 +440,11 @@ def test_split_form_groups_extend_the_buffer_in_emission_order(records, spill_pa
 
     def map_runs(split_form):
         c, split = _single_line_cluster(data)
-        locations, _ = run_map_task(c, "j", "map-0", 0, 0, split, split_form, None,
-                                    reducers, spill_pairs)
-        raw = [run_bytes(c, node, names) for node, names in locations]
-        grouped = [list(group_by_key(read_run_groups(c, node, names)))
-                   for node, names in locations]
+        runs, _ = run_map_task(c, "j", "map-0", 0, 0, split, split_form, None,
+                               reducers, spill_pairs)
+        raw = [run_bytes(c, 0, names) for names in runs]
+        grouped = [list(group_by_key(read_run_groups(c, 0, names)))
+                   for names in runs]
         return raw, grouped
 
     record_raw, record_grouped = map_runs(per_record(_emissions_map))
@@ -480,15 +480,15 @@ def test_wordcount_split_form_matches_record_form(lines, combiner_id, spill_pair
         written = []
         open_write = c.store.open_local_write
         c.store.open_local_write = lambda node, name: written.append(name) or open_write(node, name)
-        locations, skipped = run_map_task(c, "j", "map-0", 0, 0, split, split_form,
-                                          combiner, reducers, spill_pairs)
+        runs, skipped = run_map_task(c, "j", "map-0", 0, 0, split, split_form,
+                                     combiner, reducers, spill_pairs)
         assert skipped == 0
-        raw = [run_bytes(c, node, names) for node, names in locations]
+        raw = [run_bytes(c, 0, names) for names in runs]
         # each key's values as one list; a combiner may have pre-combined
         # them differently on either side, so apply it once more
         finish = combiner or _join_values
-        grouped = [[(k, finish(k, vs)) for k, vs in group_by_key(read_run_groups(c, node, names))]
-                   for node, names in locations]
+        grouped = [[(k, finish(k, vs)) for k, vs in group_by_key(read_run_groups(c, 0, names))]
+                   for names in runs]
         return any(".spill" in n for n in written), raw, grouped
 
     spilled, record_raw, record_grouped = map_runs(per_record(wordcount_map))
@@ -535,13 +535,13 @@ def test_per_record_groups_runs_and_counts_skips(rows, spill_pairs, reducers, wi
 
     c, split = _single_line_cluster(data)
     with mock.patch.object(registry, "PER_RECORD_WINDOW", window):
-        locations, skipped = run_map_task(c, "j", "map-0", 0, 0, split,
-                                          per_record(uservisits_map), None, reducers,
-                                          spill_pairs)
+        runs, skipped = run_map_task(c, "j", "map-0", 0, 0, split,
+                                     per_record(uservisits_map), None, reducers,
+                                     spill_pairs)
     assert skipped == sum(rev in _MALFORMED_REVENUES for _, rev in rows)
-    for p, (node, names) in enumerate(locations):
+    for p, names in enumerate(runs):
         assert [".spill" in n for n in names] == [True] * (len(names) - 1) + [False]
-        assert list(group_by_key(read_run_groups(c, node, names))) == [
+        assert list(group_by_key(read_run_groups(c, 0, names))) == [
             (k, vs) for k, vs in expected.items() if partition_for_key(k, reducers) == p]
 
 
@@ -735,8 +735,8 @@ def test_spill_runs_are_sources_and_are_removed_with_the_job(tmp_path):
     kept = Cluster.open_disk(str(tmp_path / "kept"), SPILL_CONFIG)
     kept.store.delete_local_tree = lambda node, prefix: None  # keep the runs to inspect
     res = _spilling_wordcount(kept, 40, executor="serial")
-    runs = [(node, name) for m in res.state.map_tasks
-            for node, names in m.result_locations for name in names]
+    runs = [(m.assigned_node, name) for m in res.state.map_tasks
+            for names in m.result.runs for name in names]
     assert sum(".spill" in name for _, name in runs) >= 4
     for node, name in runs:
         assert os.path.isfile(os.path.join(tmp_path, "kept", f"node{node}", "local",
@@ -755,7 +755,7 @@ def test_hundreds_of_runs_per_reducer_under_processes_match_serial(tmp_path):
     disk = Cluster.open_disk(str(tmp_path / "store"), SPILL_CONFIG)
     res = _spilling_wordcount(disk, 1, executor="processes")
     for p in range(2):
-        assert sum(len(m.result_locations[p][1]) for m in res.state.map_tasks) >= 100
+        assert sum(len(m.result.runs[p]) for m in res.state.map_tasks) >= 100
     parts = [disk.get_file(p) for p in res.report.parts]
     for spill_pairs in (1, 10**9):
         mem = Cluster(SPILL_CONFIG)

@@ -4,6 +4,7 @@ import os
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from minimapred import (
     Cluster,
@@ -26,6 +27,7 @@ from minimapred import (
     submit_job,
 )
 import minimapred.executors as executors
+from minimapred.jobtypes import TaskResult
 from minimapred.tasks import run_map_task, shuffle_fetch
 from minimapred.jobs import wordcount_map
 from minimapred.registry import per_record
@@ -95,10 +97,10 @@ def test_plan_naming_a_task_the_job_lacks_is_rejected_before_it_runs(tmp_path):
 def _state_with(phase=Phase.REDUCING):
     split = InputSplit("fid", 0, 0, 10, (0, 1))
     maps = [
-        TaskDescriptor("map-0", "map", split, TaskState.COMPLETED,
-                       assigned_node=2, result_locations=[(2, "r0")]),
-        TaskDescriptor("map-1", "map", split, TaskState.COMPLETED,
-                       assigned_node=1, result_locations=[(1, "r1")]),
+        TaskDescriptor("map-0", "map", split, TaskState.COMPLETED, assigned_node=2,
+                       result=TaskResult("map-0", 0, 2, True, runs=[("r0",)])),
+        TaskDescriptor("map-1", "map", split, TaskState.COMPLETED, assigned_node=1,
+                       result=TaskResult("map-1", 0, 1, True, runs=[("r1",)])),
     ]
     reduces = [
         TaskDescriptor("reduce-0", "reduce", 0, TaskState.COMPLETED,
@@ -119,7 +121,7 @@ def test_completed_map_reverts_completed_reduce_survives():
     map1 = state.task("map-1")
     assert map1.state is TaskState.PENDING
     assert map1.attempt == 1
-    assert map1.result_locations is None
+    assert map1.result is None
     assert state.task("reduce-0").state is TaskState.COMPLETED
     assert state.task("reduce-0").attempt == 0
     # lost map work while reducing: running reducers restart their shuffle;
@@ -131,7 +133,7 @@ def test_completed_map_reverts_completed_reduce_survives():
 def test_running_task_on_dead_node_only():
     state = _state_with(phase=Phase.MAPPING)
     state.task("map-1").state = TaskState.RUNNING
-    state.task("map-1").result_locations = None
+    state.task("map-1").result = None
     summary = recover(state, dead_node=1, max_attempts=4)
     assert summary.reverted_running == ["map-1"]
     assert summary.reverted_completed_maps == []
@@ -155,6 +157,61 @@ def test_recover_attempt_cap_raises():
         recover(state, dead_node=1, max_attempts=4)
 
 
+_task_rows = st.lists(
+    st.tuples(st.sampled_from(list(TaskState)), st.integers(0, 3), st.integers(0, 4)),
+    min_size=1, max_size=5)
+
+
+@settings(max_examples=300, deadline=None)
+@given(map_rows=_task_rows, reduce_rows=_task_rows,
+       phase=st.sampled_from([Phase.MAPPING, Phase.REDUCING]), dead=st.integers(0, 3))
+def test_recover_follows_its_rule_on_any_task_table(map_rows, reduce_rows, phase, dead):
+    """Rows are (state, node, attempt); a pending task has no node and a
+    completed one holds its accepted result."""
+    split = InputSplit("fid", 0, 0, 10, (0, 1))
+
+    def task(kind, i, state, node, attempt):
+        task_id = f"{kind}-{i}"
+        result = None
+        if state is TaskState.COMPLETED:
+            runs = [(f"runs/j/{task_id}.{attempt}.0",)] if kind == "map" else None
+            result = TaskResult(task_id, attempt, node, True, runs=runs)
+        return TaskDescriptor(task_id, kind, split if kind == "map" else i, state, attempt,
+                              None if state is TaskState.PENDING else node, result)
+
+    maps = [task("map", i, *r) for i, r in enumerate(map_rows)]
+    reduces = [task("reduce", i, *r) for i, r in enumerate(reduce_rows)]
+    state = JobState(wc_spec(), maps, reduces, phase)
+    before = {t.task_id: replace(t) for t in maps + reduces}
+
+    # the rule, from the docstring
+    on_dead = [t for t in maps + reduces if t.assigned_node == dead]
+    running = [t.task_id for t in on_dead if t.state is TaskState.RUNNING]
+    completed_maps = [t.task_id for t in on_dead
+                      if t.state is TaskState.COMPLETED and t.kind == "map"]
+    restarted = [t.task_id for t in reduces
+                 if t.state is TaskState.RUNNING and t.assigned_node != dead
+                 ] if completed_maps and phase is Phase.REDUCING else []
+    reverted = running + completed_maps + restarted
+
+    if any(before[t].attempt >= 4 for t in reverted):
+        with pytest.raises(JobFailed, match="exceeded 4 attempts"):
+            recover(state, dead, max_attempts=4)
+        return
+    summary = recover(state, dead, max_attempts=4)
+    assert summary.reverted_running == running
+    assert summary.reverted_completed_maps == completed_maps
+    assert summary.restarted_reduces == restarted
+    assert state.phase is phase
+    for t in maps + reduces:
+        old = before[t.task_id]
+        if t.task_id in reverted:
+            assert (t.state, t.attempt, t.assigned_node, t.result) == (
+                TaskState.PENDING, old.attempt + 1, None, None)
+        else:
+            assert t == old
+
+
 # ---------------------------------------------------------------------------
 # inject semantics at the storage/shuffle level
 
@@ -163,8 +220,8 @@ def test_dead_node_runs_unreadable_then_resolved():
     c = Cluster(ClusterConfig(num_nodes=3, chunk_size=1024, replication=2, seed=5))
     meta = c.put_file("in", b"alpha beta alpha\n")
     [split] = c.make_splits(meta)
-    locations, _ = run_map_task(c, "j", "map-3", 0, 0, split, per_record(wordcount_map), None, 1)
-    sources = [(3, "map-3", *locations[0])]
+    runs, _ = run_map_task(c, "j", "map-3", 0, 0, split, per_record(wordcount_map), None, 1)
+    sources = [(3, "map-3", 0, runs[0])]
     assert list(shuffle_fetch(c, sources)) == [
         (b"alpha", [b"1", b"1"]), (b"beta", [b"1"])]
 
@@ -174,8 +231,8 @@ def test_dead_node_runs_unreadable_then_resolved():
     assert exc.value.map_task_id == "map-3"
 
     # re-execution on a live node resolves the loss exactly once
-    relocations, _ = run_map_task(c, "j", "map-3", 1, 1, split, per_record(wordcount_map), None, 1)
-    resolved = [(3, "map-3", *relocations[0])]
+    reruns, _ = run_map_task(c, "j", "map-3", 1, 1, split, per_record(wordcount_map), None, 1)
+    resolved = [(3, "map-3", 1, reruns[0])]
     assert list(shuffle_fetch(c, resolved)) == [
         (b"alpha", [b"1", b"1"]), (b"beta", [b"1"])]
 
@@ -184,9 +241,9 @@ def test_missing_spill_run_loses_its_map_source():
     c = Cluster(ClusterConfig(num_nodes=3, chunk_size=1024, replication=2, seed=5))
     meta = c.put_file("in", b"alpha beta alpha\ngamma alpha\nbeta delta\n")
     [split] = c.make_splits(meta)
-    locations, _ = run_map_task(c, "j", "map-3", 0, 0, split, per_record(wordcount_map), None, 1,
-                                spill_pairs=2)
-    node, names = locations[0]
+    runs, _ = run_map_task(c, "j", "map-3", 0, 0, split, per_record(wordcount_map), None, 1,
+                           spill_pairs=2)
+    node, names = 0, runs[0]
     assert names == tuple(f"runs/j/map-3.0.0.spill{i}" for i in range(3)) + (
         "runs/j/map-3.0.0",)
     sources = [(3, "map-3", node, names)]
@@ -208,13 +265,12 @@ def test_job_reexecutes_a_map_whose_spill_run_went_missing(monkeypatch):
     lost = []
     real = executors.run_map_task
 
-    def losing_a_spill(cluster, job_id, task_id, attempt, *args):
-        locations, skipped = real(cluster, job_id, task_id, attempt, *args)
+    def losing_a_spill(cluster, job_id, task_id, attempt, node, *args):
+        runs, skipped = real(cluster, job_id, task_id, attempt, node, *args)
         if task_id == "map-1" and attempt == 0:
-            node, names = locations[0]
-            lost.append(names[0])
-            cluster.store.delete_local(node, names[0])
-        return locations, skipped
+            lost.append(runs[0][0])
+            cluster.store.delete_local(node, runs[0][0])
+        return runs, skipped
 
     monkeypatch.setattr(executors, "run_map_task", losing_a_spill)
     c1, res = _run(data=data, options=options)
@@ -224,6 +280,8 @@ def test_job_reexecutes_a_map_whose_spill_run_went_missing(monkeypatch):
     assert [(e["reducer"], e["map"]) for e in res.events
             if e["event"] == "shuffle_source_lost"] == [("reduce-0", "map-1")]
     assert res.report.re_executed_completed_maps == 1
+    assert [e["task"] for e in res.events
+            if e["event"] == "reexecute_completed_map"] == ["map-1"]
     assert res.state.task("map-1").attempt == 1
 
 
