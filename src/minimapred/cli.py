@@ -115,8 +115,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = bench_sub.add_parser("run")
     # flags left out keep BenchMatrix's defaults
     p.add_argument("--job", choices=["wordcount", "uservisits"])
-    p.add_argument("--sizes", type=_size_list,
-                   help="comma list, e.g. 64MiB,256MiB (default desk-scale)")
+    sizes = p.add_mutually_exclusive_group()
+    sizes.add_argument("--sizes", type=_size_list,
+                       help="comma list, e.g. 64MiB,256MiB (default desk-scale)")
+    sizes.add_argument("--full-sizes", action="store_true",
+                       help="use the full-scale 350MB/1GB/2GB sizes")
     p.add_argument("--workers", type=_int_list, help="comma list of worker counts")
     p.add_argument("--reps", type=int)
     p.add_argument("--seed", type=int)
@@ -124,8 +127,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--replication", type=int)
     p.add_argument("--reducers", type=int)
     p.add_argument("--executor", choices=["serial", "threads", "processes"])
-    p.add_argument("--full-sizes", action="store_true",
-                   help="use the full-scale 350MB/1GB/2GB sizes")
     p.add_argument("--output", default="./bench-out", help="CSV output directory")
 
     p = bench_sub.add_parser("report")

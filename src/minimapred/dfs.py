@@ -36,6 +36,10 @@ class ClusterConfig:
     seed: int = 42
 
     def __post_init__(self):
+        # not isinstance: True is an int and would pass as 1
+        bad = [v for v in vars(self).values() if type(v) is not int]
+        if bad:
+            raise InvalidConfig(f"cluster config fields must be integers, got {bad[0]!r}")
         if self.num_nodes < 1:
             raise InvalidConfig(f"num_nodes must be >= 1, got {self.num_nodes}")
         if self.chunk_size < 1:
@@ -349,7 +353,7 @@ class Cluster:
             try:
                 with open(cfg_path, "rb") as f:
                     stored = ClusterConfig(**json.load(f))
-            except (ValueError, TypeError) as e:
+            except (ValueError, TypeError, InvalidConfig) as e:
                 raise InvalidConfig(f"unreadable cluster config {cfg_path!r}: {e}") from None
             if config is not None and config != stored:
                 raise InvalidConfig(
@@ -425,21 +429,15 @@ class Cluster:
     def list_files(self, prefix: str = "") -> list[FileMeta]:
         return [m for m in self.store.list_metas() if m.path.startswith(prefix)]
 
-    def _read_chunk_live(self, chunk: Chunk, path: str,
-                         lo: int = 0, hi: int | None = None) -> bytes:
-        for node in chunk.replicas:
-            if not self.store.is_dead(node):
-                return self.store.read_chunk(node, chunk.file_id, chunk.index, lo, hi)
-        raise ChunkUnavailable(chunk.index, path)
-
     def get_file(self, path: str) -> bytes:
         """Reassemble the file from any live replica of each chunk."""
         meta = self.meta(path)
-        return b"".join(self._read_chunk_live(c, path) for c in meta.chunks)
+        return self.read_range(meta, 0, meta.size)
 
     def read_range(self, meta: FileMeta, start: int, end: int) -> bytes:
-        """Bytes of ``meta``'s file in [start, end), clamped to file size;
-        each chunk read covers only the requested bytes."""
+        """Bytes of ``meta``'s file in [start, end), clamped to file size,
+        each chunk read from its first live replica and covering only the
+        requested bytes."""
         start = max(0, start)
         end = min(meta.size, end)
         if start >= end:
@@ -451,7 +449,10 @@ class Cluster:
         while pos < end:
             c = meta.chunks[ci]
             hi = min(end - c.offset, c.length)
-            parts.append(self._read_chunk_live(c, meta.path, pos - c.offset, hi))
+            node = next((n for n in c.replicas if not self.store.is_dead(n)), None)
+            if node is None:
+                raise ChunkUnavailable(c.index, meta.path)
+            parts.append(self.store.read_chunk(node, c.file_id, c.index, pos - c.offset, hi))
             pos = c.offset + hi
             ci += 1
         return b"".join(parts)

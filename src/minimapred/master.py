@@ -5,12 +5,15 @@ splits, assigns work to idle live nodes with locality preference, advances a
 logical tick per scheduling round, injects scripted node deaths between
 rounds, and applies the recovery rules when a node dies. Which nodes are
 dead is read from the store's dead marker, the one record of node death,
-so a node killed by an earlier job on the same store gets no work. Workers
-only talk back through TaskResult messages; a message whose attempt number
-no longer matches the task's is stale (the task was reverted meanwhile) and
-is dropped, which is what makes re-execution safe under any interleaving.
+so a node killed by an earlier job on the same store gets no work. The
+marker also records that a plan event fired: its node stays dead, so the
+event never fires again. Workers only talk back through TaskResult
+messages; a message whose attempt number no longer matches the task's is
+stale (the task was reverted meanwhile) and is dropped, which is what makes
+re-execution safe under any interleaving.
 The accepted message stays on its task as the one record of its outcome
 until a revert clears it; shuffle sources and the skip count read it.
+Attempt and re-execution counts are read from the event log.
 """
 
 from __future__ import annotations
@@ -83,8 +86,6 @@ class Master:
         self.events: list[dict] = []
         self.tick = 0
         self._busy: dict[int, tuple[str, int]] = {}  # node -> (task_id, attempt)
-        self._unfired = list(self.plan.events)
-        self._dispatches = {"map": 0, "reduce": 0}
 
     # -- public ------------------------------------------------------------
 
@@ -130,19 +131,11 @@ class Master:
     def _loop(self, executor) -> None:
         while True:
             self._fire(lambda ev: ev.tick is not None and ev.tick <= self.tick)
-            for msg in executor.poll():
-                self._handle(msg)
-            self._advance_phase()
-            if self.state.phase in (Phase.DONE, Phase.FAILED):
+            if self._step(executor.poll()):
                 return
-
-            dispatched = self._dispatch_round(executor)
-            if not dispatched:
+            if not self._dispatch_round(executor):
                 if self._busy:
-                    for msg in executor.wait():
-                        self._handle(msg)
-                    self._advance_phase()
-                    if self.state.phase in (Phase.DONE, Phase.FAILED):
+                    if self._step(executor.wait()):
                         return
                 elif self._pending():
                     raise JobFailed(
@@ -150,6 +143,14 @@ class Master:
                         f"{[t.task_id for t in self._pending()]}"
                     )
             self.tick += 1
+
+    def _step(self, batch: list[TaskResult]) -> bool:
+        """Handle a batch of results and advance the phase; True once the
+        job is done."""
+        for msg in batch:
+            self._handle(msg)
+        self._advance_phase()
+        return self.state.phase is Phase.DONE
 
     def _pending(self) -> list[TaskDescriptor]:
         if self.state.phase is Phase.MAPPING:
@@ -173,7 +174,6 @@ class Master:
         task.state = TaskState.RUNNING
         task.assigned_node = node
         self._busy[node] = (task.task_id, task.attempt)
-        self._dispatches[task.kind] += 1
         self._log("dispatch", task=task.task_id, attempt=task.attempt, node=node)
         payload = {
             "cluster": self.cluster,
@@ -242,12 +242,12 @@ class Master:
         fault.revert(task, MAX_TASK_ATTEMPTS, msg.error)
 
     def _fire(self, due: Callable[[FailureEvent], bool]) -> None:
-        """Kill the node of every unfired plan event that is ``due``, in plan
-        order; each event fires at most once."""
-        fired = [ev for ev in self._unfired if due(ev)]
-        self._unfired = [ev for ev in self._unfired if not due(ev)]
-        for ev in fired:
-            self._kill(ev.node_id)
+        """Kill the node of every plan event that is ``due``, in plan order.
+        A fired event's node is dead for good and ``_kill`` skips a dead
+        node, so each event fires at most once."""
+        for ev in self.plan.events:
+            if due(ev):
+                self._kill(ev.node_id)
 
     def _kill(self, node: int) -> None:
         if self.cluster.is_node_dead(node):
@@ -261,8 +261,6 @@ class Master:
             self._log("restart_reduce", task=task_id)
 
     def _advance_phase(self) -> None:
-        if self.state.phase in (Phase.DONE, Phase.FAILED):
-            return
         maps_done = all(t.state is TaskState.COMPLETED for t in self.state.map_tasks)
         reduces_done = all(
             t.state is TaskState.COMPLETED for t in self.state.reduce_tasks
@@ -284,6 +282,11 @@ class Master:
 
     def _report(self, started: float) -> JobReport:
         elapsed_ms = (time.perf_counter() - started) * 1000.0
+
+        def logged(event: str, task_prefix: str = "") -> int:
+            return sum(e["event"] == event and e["task"].startswith(task_prefix)
+                       for e in self.events)
+
         # a completed reduce is never reverted, so its part is final
         parts = [
             part_file_path(self.spec.output_path, t.payload)
@@ -293,14 +296,13 @@ class Master:
         return JobReport(
             job_id=self.spec.job_id,
             phase=self.state.phase.value,
-            map_attempts=self._dispatches["map"],
-            reduce_attempts=self._dispatches["reduce"],
+            map_attempts=logged("dispatch", "map-"),
+            reduce_attempts=logged("dispatch", "reduce-"),
             elapsed_ms=elapsed_ms,
             parts=parts,
             map_tasks=len(self.state.map_tasks),
             reduce_tasks=len(self.state.reduce_tasks),
-            re_executed_completed_maps=sum(
-                e["event"] == "reexecute_completed_map" for e in self.events),
+            re_executed_completed_maps=logged("reexecute_completed_map"),
             skipped_records=sum(t.result.skipped for t in self.state.map_tasks if t.result),
             tasks=[
                 {

@@ -104,13 +104,13 @@ def run_map_task(
     key-sorted runs for each partition on the executing node's local store.
 
     ``mapper(records, combiner)`` is called once, and the buffer takes each
-    key group it yields, values per key in emission order. Keys are
-    assigned to partitions when the buffer is written: at ``spill_pairs``
-    buffered values, checked after each group, as one sorted spill run
-    ``<run>.spill<i>`` per non-empty partition, and at the end as the final
-    run ``run_name(...)`` of every partition, empty or not. The combiner,
-    if any, is applied once per key at each write. Memory is the split
-    form's own state plus the spill buffer.
+    key group it yields, values per key in emission order. One writer
+    sorts and partitions the buffer and writes it out as runs: at
+    ``spill_pairs`` buffered values, checked after each group, as one spill
+    run ``<run>.spill<i>`` per non-empty partition, and at the end as the
+    final run ``run_name(...)`` of every partition, empty or not. The
+    combiner, if any, is applied once per key at each write. Memory is the
+    split form's own state plus the spill buffer.
     Returns (each partition's run names on ``node``, skipped records), the
     skip count being the split form's return value or 0; the names are in
     spill order, which is emission order, final run last.
@@ -118,12 +118,14 @@ def run_map_task(
     store = cluster.store
     part_cache: dict[bytes, int] = {}
     buffer: dict[bytes, list[bytes]] = {}  # key -> values in emission order
-    spills: list[list[str]] = [[] for _ in range(num_reducers)]
+    runs: list[tuple[str, ...]] = [() for _ in range(num_reducers)]
     buffered = 0
 
-    def drain() -> list[Iterable[Group]]:
-        """Each partition's buffered groups in key order, combined if a
-        combiner is set, and falsy if it has none; the buffer restarts."""
+    def write_runs(final: bool) -> None:
+        """Sort and partition the buffer and write one run per partition,
+        combined if a combiner is set: a spill run for each non-empty
+        partition, or the final run of every partition; the buffer
+        restarts."""
         nonlocal buffer
         d, buffer = buffer, {}
         keys: list[list[bytes]] = [[] for _ in range(num_reducers)]
@@ -132,24 +134,19 @@ def run_map_task(
             if p is None:
                 p = part_cache[k] = partition_for_key(k, num_reducers)
             keys[p].append(k)
-        if combiner is None:
-            return [((k, d[k]) for k in ks) if ks else () for ks in keys]
-        return [((ck, [cv]) for k in ks for ck, cv in combiner(k, d[k])) if ks else ()
-                for ks in keys]
-
-    def write(name: str, run: Iterable[Group]) -> None:
-        sink = store.open_local_write(node, name)
-        try:
-            write_run(sink, run)
-        finally:
-            sink.close()
-
-    def spill() -> None:
-        for p, run in enumerate(drain()):
-            if run:
-                name = f"{run_name(job_id, task_id, attempt, p)}.spill{len(spills[p])}"
-                write(name, run)
-                spills[p].append(name)
+        for p, ks in enumerate(keys):
+            if not (ks or final):
+                continue
+            name = run_name(job_id, task_id, attempt, p)
+            if not final:
+                name = f"{name}.spill{len(runs[p])}"
+            sink = store.open_local_write(node, name)
+            try:
+                write_run(sink, ((k, d[k]) for k in ks) if combiner is None else
+                          ((ck, [cv]) for k in ks for ck, cv in combiner(k, d[k])))
+            finally:
+                sink.close()
+            runs[p] += (name,)
 
     groups = iter(mapper(cluster.read_split(split), combiner))
     while True:
@@ -165,14 +162,10 @@ def run_map_task(
             vals.extend(values)
         buffered += len(values)
         if buffered >= spill_pairs:
-            spill()
+            write_runs(final=False)
             buffered = 0
 
-    runs = []
-    for p, run in enumerate(drain()):
-        name = run_name(job_id, task_id, attempt, p)
-        write(name, run)
-        runs.append((*spills[p], name))
+    write_runs(final=True)
     return runs, skipped
 
 

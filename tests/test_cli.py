@@ -154,8 +154,9 @@ def test_conflicting_flags_on_existing_store_exit_2(tmp_path, capsys):
     assert run_cli("dfs", "ls") == 0  # omitted flags use the stored config
 
 
-@pytest.mark.parametrize("text", ["", '{"num_nodes": 4, "bogus": 1}'],
-                         ids=["empty", "unknown-key"])
+@pytest.mark.parametrize("text", ["", '{"num_nodes": 4, "bogus": 1}', '{"chunk_size": 1.5}',
+                                  '{"chunk_size": true}'],
+                         ids=["empty", "unknown-key", "float-field", "bool-field"])
 def test_unreadable_cluster_config_exits_2(tmp_path, capsys, text):
     store = tmp_path / "store"
     store.mkdir()
@@ -302,6 +303,16 @@ def test_non_finite_size_flag_is_a_usage_error(tmp_path, capsys, argv):
         run_cli(*argv)
     assert exc.value.code == 2
     assert argv[-2] in capsys.readouterr().err
+
+
+def test_bench_sizes_with_full_sizes_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(bench, "run_matrix", lambda *a, **kw: pytest.fail("matrix ran"))
+    with pytest.raises(SystemExit) as exc:
+        run_cli("bench", "run", "--sizes", "1KB", "--full-sizes",
+                "--output", str(tmp_path / "b"))
+    assert exc.value.code == 2
+    assert "not allowed with" in capsys.readouterr().err
+    assert not (tmp_path / "b").exists()
 
 
 def test_bench_flags_and_config_left_out_keep_matrix_defaults(tmp_path, monkeypatch):

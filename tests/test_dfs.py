@@ -94,6 +94,9 @@ def test_duplicate_path_rejected():
         dict(num_nodes=3, replication=0),
         dict(chunk_size=0),
         dict(num_nodes=0),
+        dict(chunk_size=1.5),
+        dict(chunk_size=True),
+        dict(seed="7"),
     ],
 )
 def test_invalid_config_rejected(kwargs):

@@ -330,6 +330,53 @@ def test_after_task_kill_reexecutes_completed_map():
     # the re-run landed on a live node
     final_node = res.state.task("map-2").assigned_node
     assert final_node != node_of_map2
+    # map-2 completes twice, but its kill fires once
+    assert [e["task"] for e in res.events if e["event"] == "complete"].count("map-2") == 2
+    assert [e["node"] for e in res.events if e["event"] == "node_dead"] == [node_of_map2]
+
+
+def test_failover_event_log_golden():
+    """The whole serial event log of a 3-map job whose nodes 1 and 3 die
+    while it reduces: 1 after reduce-0 completes, 3 at tick 4. Node 3's
+    kill is due at every tick from 4 on and fires once."""
+    _, res = _run(plan=FailurePlan.parse(["1:after:reduce-0", "3:4"]),
+                  data=random_tokens(31, n=20))
+    log = [" ".join(f"{v}" if k in ("tick", "event") else f"{k}={v}" for k, v in e.items())
+           for e in res.events]
+    assert log == [
+        "0 dispatch task=map-0 attempt=0 node=1",
+        "0 dispatch task=map-1 attempt=0 node=2",
+        "0 dispatch task=map-2 attempt=0 node=3",
+        "1 complete task=map-0 attempt=0 node=1",
+        "1 complete task=map-1 attempt=0 node=2",
+        "1 complete task=map-2 attempt=0 node=3",
+        "1 phase phase=reducing",
+        "1 dispatch task=reduce-0 attempt=0 node=0",
+        "1 dispatch task=reduce-1 attempt=0 node=1",
+        "2 complete task=reduce-0 attempt=0 node=0",
+        "2 node_dead node=1",
+        "2 reexecute_completed_map task=map-0",
+        "2 stale_result task=reduce-1 attempt=0 node=1",
+        "2 phase phase=mapping",
+        "2 dispatch task=map-0 attempt=1 node=2",
+        "3 complete task=map-0 attempt=1 node=2",
+        "3 phase phase=reducing",
+        "3 dispatch task=reduce-1 attempt=1 node=0",
+        "4 node_dead node=3",
+        "4 reexecute_completed_map task=map-2",
+        "4 restart_reduce task=reduce-1",
+        "4 shuffle_source_lost reducer=reduce-1 map=map-2",
+        "4 stale_result task=reduce-1 attempt=1 node=0",
+        "4 phase phase=mapping",
+        "4 dispatch task=map-2 attempt=1 node=0",
+        "5 complete task=map-2 attempt=1 node=0",
+        "5 phase phase=reducing",
+        "5 dispatch task=reduce-1 attempt=2 node=0",
+        "6 complete task=reduce-1 attempt=2 node=0",
+        "6 phase phase=done",
+    ]
+    assert (res.report.map_attempts, res.report.reduce_attempts) == (5, 4)
+    assert res.report.re_executed_completed_maps == 2
 
 
 def test_map_loss_while_reducing_logs_the_return_to_mapping():

@@ -25,3 +25,18 @@ def test_engine_imports_only_the_standard_library():
             outside += [f"{name}:{node.lineno} {m}" for m in modules
                         if m.split(".")[0] not in sys.stdlib_module_names]
     assert outside == []
+
+
+def test_public_api_is_pinned():
+    import minimapred
+
+    assert sorted(minimapred.__all__) == sorted([
+        "AlreadyExists", "Chunk", "ChunkUnavailable", "Cluster", "ClusterConfig",
+        "FailureEvent", "FailurePlan", "FileMeta", "InputSplit", "InvalidConfig",
+        "InvalidPlan", "JobFailed", "JobReport", "JobSpec", "JobState", "Master",
+        "MiniMapRedError", "NotFound", "Phase", "Record", "recover", "register",
+        "registered_ids", "ReportError", "resolve", "RunOptions", "RunResult", "run_job",
+        "ShuffleSourceLost", "SkipRecord", "submit_job", "TaskDescriptor", "TaskState",
+        "UnknownFunction", "UnknownInput",
+    ])
+    assert [n for n in minimapred.__all__ if not hasattr(minimapred, n)] == []
