@@ -21,9 +21,9 @@ import time
 from dataclasses import dataclass, field
 
 from .dfs import Cluster, ClusterConfig
-from .errors import InvalidConfig, JobFailed, ReportError
-from .jobs import uservisits_lines
-from .jobtypes import JobSpec, RunOptions
+from .errors import InvalidConfig, JobFailed, ReportError, require_ints
+from .jobs import job_spec, uservisits_lines
+from .jobtypes import RunOptions
 from .master import submit_job
 
 PLOT_COLUMNS = ("job", "workers", "size_bytes", "elapsed_seconds")
@@ -93,11 +93,9 @@ class BenchMatrix:
     executor: str = "processes"
 
     def __post_init__(self):
-        bad = [n for n in (*self.sizes, *self.worker_counts, self.repetitions, self.seed,
-                           self.chunk_size, self.replication, self.num_reducers)
-               if type(n) is not int]  # not isinstance: True is an int and would pass as 1
-        if bad:
-            raise InvalidConfig(f"matrix sizes and counts must be integers, got {bad[0]!r}")
+        require_ints("matrix sizes and counts", *self.sizes, *self.worker_counts,
+                     self.repetitions, self.seed, self.chunk_size, self.replication,
+                     self.num_reducers)
         for name in ("sizes", "worker_counts"):
             values = getattr(self, name)
             if not values or min(values) < 1:
@@ -150,10 +148,6 @@ CSV_COLUMNS = tuple(column for column, _, _ in _ROW_SCHEMA)
 _WRITERS = {float: "{:.6f}".format, _flag: lambda b: "true" if b else "false"}
 
 
-def default_combiner(job_id: str) -> str | None:
-    return "wordcount.combine" if job_id == "wordcount" else None
-
-
 def run_matrix(
     matrix: BenchMatrix,
     csv_path: str | None = None,
@@ -185,15 +179,8 @@ def _run_cell(
     try:
         cluster = Cluster.open_disk(root, matrix.cluster_config())
         meta = cluster.put_file("bench/input", data)
-        spec = JobSpec(
-            job_id=f"bench-{matrix.job_id}-{size}-{workers}w-r{rep}",
-            input_path="bench/input",
-            output_path="bench/out",
-            mapper_id=f"{matrix.job_id}.map",
-            reducer_id=f"{matrix.job_id}.reduce",
-            combiner_id=default_combiner(matrix.job_id),
-            num_reducers=matrix.num_reducers,
-        )
+        spec = job_spec(matrix.job_id, f"bench-{matrix.job_id}-{size}-{workers}w-r{rep}",
+                        "bench/input", "bench/out", matrix.num_reducers)
         options = RunOptions(workers=workers, executor=matrix.executor)
         failed = False
         started = time.perf_counter()

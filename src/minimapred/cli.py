@@ -15,9 +15,10 @@ import uuid
 
 from . import bench
 from .dfs import Cluster, ClusterConfig
-from .errors import JobFailed, MiniMapRedError, ReportError
+from .errors import JobFailed, MiniMapRedError, NotFound, ReportError
 from .fault import FailurePlan
-from .jobtypes import JobSpec, RunOptions
+from .jobs import JOBS, job_spec
+from .jobtypes import RunOptions
 from .master import submit_job
 
 DEFAULT_STORE = "./minimapred_store"
@@ -44,17 +45,19 @@ def _given(**flags) -> dict:
     return {k: v for k, v in flags.items() if v is not None}
 
 
-def _open_cluster(args) -> Cluster:
-    """Open the store, creating it with flag/default config if new. Flags
-    left out keep an existing store's persisted config; open_disk rejects
-    flags that contradict it."""
+def _open_cluster(args, create: bool = False) -> Cluster:
+    """Open the store, creating it with flag/default config only if
+    ``create``. Flags left out keep an existing store's persisted config;
+    open_disk rejects flags that contradict it."""
     root = _store_root(args)
     flags = _given(num_nodes=args.nodes, chunk_size=args.chunk_size,
                    replication=args.replication, seed=args.seed)
     if os.path.exists(os.path.join(root, "cluster.json")):
         config = Cluster.open_disk(root).config
-    else:
+    elif create:
         config = ClusterConfig()
+    else:
+        raise NotFound(f"store {root!r} not found: it has no cluster.json")
     return Cluster.open_disk(root, dataclasses.replace(config, **flags))
 
 
@@ -78,14 +81,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("local_file")
     p.add_argument("dfs_path")
 
-    p = dfs_sub.add_parser("get", help="fetch a file")
+    p = dfs_sub.add_parser("get", aliases=["cat"], help="fetch a file")
     _add_cluster_flags(p)
     p.add_argument("dfs_path")
     p.add_argument("--output", help="local destination (default: stdout)")
-
-    p = dfs_sub.add_parser("cat", help="print a file to stdout")
-    _add_cluster_flags(p)
-    p.add_argument("dfs_path")
 
     p = dfs_sub.add_parser("ls", help="list stored files with chunk layout")
     _add_cluster_flags(p)
@@ -95,14 +94,13 @@ def build_parser() -> argparse.ArgumentParser:
     job_sub = p.add_subparsers(dest="job_command", required=True)
     p = job_sub.add_parser("run")
     _add_cluster_flags(p)
-    p.add_argument("job_name", choices=["wordcount", "uservisits"])
+    p.add_argument("job_name", choices=JOBS)
     p.add_argument("--input", required=True, help="DFS input path")
     p.add_argument("--output", required=True, help="DFS output directory")
     p.add_argument("--reducers", type=int, default=2)
     p.add_argument("--workers", type=int, default=None,
                    help="worker count (default: one per node)")
-    p.add_argument("--executor", choices=["serial", "threads", "processes"],
-                   default="threads")
+    p.add_argument("--executor", choices=["serial", "threads", "processes"])
     p.add_argument("--fail", action="append", default=[], metavar="SPEC",
                    help="kill a node: <node>:<tick> or <node>:after:<task-id>"
                         " (repeatable)")
@@ -114,7 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench_sub = p.add_subparsers(dest="bench_command", required=True)
     p = bench_sub.add_parser("run")
     # flags left out keep BenchMatrix's defaults
-    p.add_argument("--job", choices=["wordcount", "uservisits"])
+    p.add_argument("--job", choices=JOBS)
     sizes = p.add_mutually_exclusive_group()
     sizes.add_argument("--sizes", type=_size_list,
                        help="comma list, e.g. 64MiB,256MiB (default desk-scale)")
@@ -140,16 +138,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_dfs(args) -> int:
-    cluster = _open_cluster(args)
+    cluster = _open_cluster(args, create=args.dfs_command == "put")
     if args.dfs_command == "put":
         with open(args.local_file, "rb") as f:
             meta = cluster.put_file(args.dfs_path, f.read())
         print(f"stored {meta.path} ({meta.size} bytes, {len(meta.chunks)} chunks)")
     elif args.dfs_command in ("get", "cat"):
         data = cluster.get_file(args.dfs_path)
-        out = getattr(args, "output", None)
-        if args.dfs_command == "get" and out:
-            with open(out, "wb") as f:
+        if args.output:
+            with open(args.output, "wb") as f:
                 f.write(data)
         else:
             sys.stdout.buffer.write(data)
@@ -166,17 +163,9 @@ def cmd_dfs(args) -> int:
 def cmd_job(args) -> int:
     cluster = _open_cluster(args)
     plan = FailurePlan.parse(args.fail) if args.fail else None
-    combiner = None if args.no_combiner else bench.default_combiner(args.job_name)
-    spec = JobSpec(
-        job_id=args.job_id or f"{args.job_name}-{uuid.uuid4().hex[:8]}",
-        input_path=args.input,
-        output_path=args.output,
-        mapper_id=f"{args.job_name}.map",
-        reducer_id=f"{args.job_name}.reduce",
-        combiner_id=combiner,
-        num_reducers=args.reducers,
-    )
-    options = RunOptions(workers=args.workers, executor=args.executor)
+    spec = job_spec(args.job_name, args.job_id or f"{args.job_name}-{uuid.uuid4().hex[:8]}",
+                    args.input, args.output, args.reducers, combine=not args.no_combiner)
+    options = RunOptions(**_given(workers=args.workers, executor=args.executor))
     report = submit_job(cluster, spec, options, plan)
     print(report.to_json(indent=2))
     return 0

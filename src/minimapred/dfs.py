@@ -15,6 +15,7 @@ import io
 import json
 import hashlib
 import os
+import shutil
 import threading
 import uuid
 from dataclasses import asdict, dataclass
@@ -22,7 +23,7 @@ from functools import partial
 from itertools import accumulate, chain
 from typing import Iterable, Iterator, NamedTuple
 
-from .errors import AlreadyExists, ChunkUnavailable, InvalidConfig, NotFound
+from .errors import AlreadyExists, ChunkUnavailable, InvalidConfig, NotFound, require_ints
 from .hashing import placement_hash
 
 
@@ -36,10 +37,7 @@ class ClusterConfig:
     seed: int = 42
 
     def __post_init__(self):
-        # not isinstance: True is an int and would pass as 1
-        bad = [v for v in vars(self).values() if type(v) is not int]
-        if bad:
-            raise InvalidConfig(f"cluster config fields must be integers, got {bad[0]!r}")
+        require_ints("cluster config fields", *vars(self).values())
         if self.num_nodes < 1:
             raise InvalidConfig(f"num_nodes must be >= 1, got {self.num_nodes}")
         if self.chunk_size < 1:
@@ -192,9 +190,10 @@ class MemoryStore:
             self._local.pop((node, name), None)
 
     def delete_local_tree(self, node: int, prefix: str) -> None:
+        """Delete the node's local objects under the directory ``prefix``."""
         with self._lock:
             for key in [k for k in self._local
-                        if k[0] == node and (k[1] == prefix or k[1].startswith(prefix + "/"))]:
+                        if k[0] == node and k[1].startswith(prefix + "/")]:
                 del self._local[key]
 
 
@@ -310,13 +309,7 @@ class DiskStore:
             pass
 
     def delete_local_tree(self, node: int, prefix: str) -> None:
-        import shutil
-
-        path = self._local_path(node, prefix)
-        if os.path.isfile(path):
-            os.remove(path)
-        else:
-            shutil.rmtree(path, ignore_errors=True)
+        shutil.rmtree(self._local_path(node, prefix), ignore_errors=True)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,14 @@ class InvalidConfig(MiniMapRedError):
     """Cluster or job configuration violates an invariant."""
 
 
+def require_ints(what: str, *values) -> None:
+    """Raise InvalidConfig naming ``what`` unless every value is an int;
+    not isinstance: True is an int and would pass as 1."""
+    bad = [v for v in values if type(v) is not int]
+    if bad:
+        raise InvalidConfig(f"{what} must be integers, got {bad[0]!r}")
+
+
 class AlreadyExists(MiniMapRedError):
     """A file with this path is already stored."""
 

@@ -16,9 +16,8 @@ def fnv1a64(data: bytes) -> int:
 
 
 def partition_for_key(key: bytes, num_reducers: int) -> int:
-    """Deterministic reducer index in [0, num_reducers) for a key."""
-    if num_reducers < 1:
-        raise ValueError("num_reducers must be >= 1")
+    """Deterministic reducer index in [0, num_reducers) for a key;
+    JobSpec checks that num_reducers is at least 1."""
     return fnv1a64(key) % num_reducers
 
 

@@ -1,5 +1,5 @@
-"""The two built-in jobs: word frequency counting and per-source-IP revenue
-aggregation over pipe-delimited user-visit records.
+"""The two built-in jobs, ``JOBS``: word frequency counting and per-source-IP
+revenue aggregation over pipe-delimited user-visit records.
 
 Record mappers take (byte offset, line bytes) and return a list of (key,
 value) byte pairs; reducers and combiners take (key, ordered value list) and
@@ -18,6 +18,7 @@ from itertools import chain
 from typing import Callable, Iterable, Iterator
 
 from .errors import SkipRecord
+from .jobtypes import JobSpec
 from .registry import register
 
 ONE = b"1"
@@ -123,6 +124,24 @@ def uservisits_lines(rows: int, seed: int) -> bytes:
 
 
 # ---------------------------------------------------------------------------
+
+JOBS = ("wordcount", "uservisits")
+
+
+def job_spec(job: str, job_id: str, input_path: str, output_path: str,
+             num_reducers: int, combine: bool = True) -> JobSpec:
+    """The JobSpec of built-in job ``job``: its mapper and reducer, and
+    wordcount's combiner unless ``combine`` is false."""
+    return JobSpec(
+        job_id=job_id,
+        input_path=input_path,
+        output_path=output_path,
+        mapper_id=f"{job}.map",
+        reducer_id=f"{job}.reduce",
+        combiner_id="wordcount.combine" if combine and job == "wordcount" else None,
+        num_reducers=num_reducers,
+    )
+
 
 register("wordcount.map", wordcount_map, split=wordcount_split_map)
 register("wordcount.reduce", wordcount_reduce)

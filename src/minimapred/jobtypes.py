@@ -8,7 +8,7 @@ import json
 from dataclasses import asdict, dataclass, field
 
 from .dfs import InputSplit
-from .errors import InvalidConfig
+from .errors import InvalidConfig, require_ints
 
 MAX_TASK_ATTEMPTS = 4
 SPILL_PAIRS = 512 * 1024  # default map-side buffered values before a spill
@@ -30,6 +30,7 @@ class JobSpec:
         # the job deletes runs/<job_id> on every node at its end
         if self.job_id in ("", ".", "..") or "/" in self.job_id or "\\" in self.job_id:
             raise InvalidConfig(f"job_id must be one path component, got {self.job_id!r}")
+        require_ints("num_reducers", self.num_reducers)
         if self.num_reducers < 1:
             raise InvalidConfig(f"num_reducers must be >= 1, got {self.num_reducers}")
 
@@ -115,6 +116,8 @@ class RunOptions:
     spill_pairs: int = SPILL_PAIRS
 
     def __post_init__(self):
+        require_ints("spill_pairs and workers", self.spill_pairs,
+                     *(() if self.workers is None else (self.workers,)))
         if self.spill_pairs < 1:
             raise InvalidConfig(f"spill_pairs must be >= 1, got {self.spill_pairs}")
 

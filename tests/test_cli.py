@@ -54,6 +54,21 @@ def test_get_unknown_path_exits_2(capsys):
     assert "not found" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["dfs", "get", "nothing"],
+    ["dfs", "cat", "nothing"],
+    ["dfs", "ls"],
+    ["job", "run", "wordcount", "--input", "in", "--output", "out"],
+], ids=["get", "cat", "ls", "job-run"])
+def test_read_only_command_on_missing_store_exits_2_and_creates_nothing(
+        tmp_path, capsys, argv):
+    root = tmp_path / "typo"
+    assert run_cli(*argv, "--store-root", str(root)) == 2
+    err = capsys.readouterr().err
+    assert "not found" in err and str(root) in err
+    assert not root.exists()
+
+
 def test_duplicate_put_exits_2(tmp_path, capsys):
     src = tmp_path / "f"
     src.write_bytes(b"x")

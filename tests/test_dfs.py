@@ -368,6 +368,29 @@ def test_part_survives_replica_node_death():
     assert c.get_file("o/part-r-00000") == b"k\tv\n"
 
 
+@pytest.mark.parametrize("kind", ["memory", "disk"])
+def test_part_rewritten_after_a_death_keeps_exactly_its_listed_replicas(kind, tmp_path):
+    config = ClusterConfig(num_nodes=4, chunk_size=40, replication=2, seed=7)
+    c = Cluster(config) if kind == "memory" else Cluster.open_disk(str(tmp_path / "s"), config)
+    pairs = [(b"k%d" % i, b"v" * 32) for i in range(4)]  # 36 bytes a line
+    old = c.meta(c.write_output("o", 0, pairs))
+    assert len(old.chunks) == 4
+    c.mark_node_dead(old.chunks[-1].replicas[0])
+    new = c.meta(c.write_output("o", 0, pairs[:2]))
+    assert len(new.chunks) == 2
+    # every replica the catalog lists exists, and no other chunk is left
+    listed = {(ch.index, node) for ch in new.chunks for node in ch.replicas}
+    for node in range(config.num_nodes):
+        for index in range(len(old.chunks)):
+            try:
+                c.store.read_chunk(node, new.file_id, index)
+                stored = True
+            except (KeyError, OSError):
+                stored = False
+            assert stored == ((index, node) in listed), (node, index)
+    assert c.get_file("o/part-r-00000") == b"".join(k + b"\t" + v + b"\n" for k, v in pairs[:2])
+
+
 # ---------------------------------------------------------------------------
 # disk store
 
@@ -394,6 +417,9 @@ def test_disk_and_memory_agree(tmp_path):
     m2 = dsk.put_file("f", data)
     assert m1.to_json() == m2.to_json()
     assert mem.get_file("f") == dsk.get_file("f") == data
+    mem.put_file("a/e", b"e")
+    dsk.put_file("a/e", b"e")
+    assert mem.list_files() == dsk.list_files() == [mem.meta("a/e"), m1]
 
 
 def test_disk_config_persisted_and_conflicts_rejected(tmp_path):

@@ -819,13 +819,27 @@ def test_job_id_must_be_one_path_component(job_id):
         wc_spec(job_id=job_id)
 
 
+@pytest.mark.parametrize("reducers, message", [
+    (0, "num_reducers must be >= 1"),
+    (-1, "num_reducers must be >= 1"),
+    (2.0, "integers, got 2.0"),
+    (True, "integers, got True"),
+])
+def test_num_reducers_must_be_a_positive_int(reducers, message):
+    # JobSpec's is the one reducer-count check, before any task is planned
+    with pytest.raises(InvalidConfig, match=message):
+        wc_spec(reducers=reducers)
+
+
 def test_plain_job_ids_accepted():
     for job_id in ("wc", "uv-parallel-12", "wordcount-1a2b3c4d", "..x", "a.b"):
         assert wc_spec(job_id=job_id).job_id == job_id
 
 
 def test_spill_pairs_below_one_rejected():
-    for bad in (0, -5):
+    # a float or bool is not a count either; nan and inf would pass a "< 1"
+    # check and turn spilling off
+    for bad in (0, -5, float("nan"), float("inf"), 2.5, True):
         with pytest.raises(InvalidConfig, match="spill_pairs"):
             RunOptions(spill_pairs=bad)
     assert RunOptions(spill_pairs=1).spill_pairs == 1
@@ -924,8 +938,9 @@ def test_reregistered_combiner_loses_its_safety(small_cluster):
 
 def test_workers_bounded_by_nodes(small_cluster):
     small_cluster.put_file("in", b"x\n")
-    with pytest.raises(InvalidConfig):
-        submit_job(small_cluster, wc_spec(), RunOptions(workers=9, executor="serial"))
+    for workers in (9, 0, 1.5, True):
+        with pytest.raises(InvalidConfig):
+            submit_job(small_cluster, wc_spec(), RunOptions(workers=workers, executor="serial"))
 
 
 def test_processes_require_disk_store(small_cluster):
