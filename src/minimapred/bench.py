@@ -154,14 +154,17 @@ def run_matrix(
     store_parent: str | None = None,
     progress=None,
 ) -> list[BenchRow]:
-    """Run every (size, workers, repetition) cell sequentially and return
-    the measured rows, appending them to ``csv_path`` if given. A failed job
-    is recorded with failed=True and the matrix continues."""
+    """Run every (size, repetition, workers) cell sequentially and return
+    the measured rows, appending them to ``csv_path`` if given. Within a
+    size, each repetition runs every worker count in turn, so the worker
+    counts alternate and a burst of host load does not land on one side of
+    a speedup ratio. A failed job is recorded with failed=True and the
+    matrix continues."""
     rows = []
     for size in matrix.sizes:
         data = input_bytes(matrix.job_id, size, matrix.seed)
-        for workers in matrix.worker_counts:
-            for rep in range(matrix.repetitions):
+        for rep in range(matrix.repetitions):
+            for workers in matrix.worker_counts:
                 row = _run_cell(matrix, size, data, workers, rep, store_parent)
                 rows.append(row)
                 if progress is not None:

@@ -166,7 +166,11 @@ def cmd_job(args) -> int:
     spec = job_spec(args.job_name, args.job_id or f"{args.job_name}-{uuid.uuid4().hex[:8]}",
                     args.input, args.output, args.reducers, combine=not args.no_combiner)
     options = RunOptions(**_given(workers=args.workers, executor=args.executor))
-    report = submit_job(cluster, spec, options, plan)
+    try:
+        report = submit_job(cluster, spec, options, plan)
+    except JobFailed as e:
+        print(e.report.to_json(indent=2))  # phase "failed"; main exits 3
+        raise
     print(report.to_json(indent=2))
     return 0
 

@@ -3,9 +3,9 @@ revenue aggregation over pipe-delimited user-visit records.
 
 Record mappers take (byte offset, line bytes) and return a list of (key,
 value) byte pairs; reducers and combiners take (key, ordered value list) and
-return a list of output pairs. ``wordcount.map`` also has a split form,
-which takes the split's whole (offset, line) iterator and the job's combiner
-and yields (key, values) groups, under the contract in ``registry``. Counts
+return a list of output pairs. Both mappers also have a split form, which
+takes the split's whole (offset, line) iterator and the job's combiner and
+yields (key, values) groups, under the contract in ``registry``. Counts
 are serialized as decimal text, revenue sums as shortest round-trip
 decimals, so outputs are byte-reproducible.
 """
@@ -17,6 +17,7 @@ from collections import Counter
 from itertools import chain
 from typing import Callable, Iterable, Iterator
 
+from . import registry
 from .errors import SkipRecord
 from .jobtypes import JobSpec
 from .registry import register
@@ -89,6 +90,44 @@ def uservisits_map(offset: int, line: bytes) -> list[tuple[bytes, bytes]]:
     return [(fields[0], repr(revenue).encode())]
 
 
+def uservisits_split_map(
+    records: Iterable[tuple[int, bytes]], combiner: Callable | None
+) -> Iterator[tuple[bytes, list[bytes]]]:
+    """Split form of ``uservisits_map``: the same checks in one loop over
+    the split, yielding the groups ``per_record(uservisits_map)`` yields
+    (per key, in emission order, every ``registry.PER_RECORD_WINDOW``
+    values), so a map task holds no more than on the record path. Returns
+    the number of rows skipped."""
+    del combiner
+    window = registry.PER_RECORD_WINDOW
+    groups: dict[bytes, list[bytes]] = {}
+    skipped = pending = 0
+    for _, line in records:
+        fields = line.split(b"|", 3)  # fields 0-2 as a full split gives them
+        if len(fields) < 3:
+            skipped += 1
+            continue
+        try:
+            revenue = float(fields[2])
+        except ValueError:
+            skipped += 1
+            continue
+        if not math.isfinite(revenue):
+            skipped += 1
+            continue
+        vals = groups.get(fields[0])
+        if vals is None:
+            groups[fields[0]] = [repr(revenue).encode()]
+        else:
+            vals.append(repr(revenue).encode())
+        pending += 1
+        if pending >= window:
+            yield from groups.items()
+            groups, pending = {}, 0
+    yield from groups.items()
+    return skipped
+
+
 def uservisits_reduce(key: bytes, values: list[bytes]) -> list[tuple[bytes, bytes]]:
     """Left-to-right sum over the (deterministic) shuffle order."""
     total = 0.0
@@ -146,5 +185,5 @@ def job_spec(job: str, job_id: str, input_path: str, output_path: str,
 register("wordcount.map", wordcount_map, split=wordcount_split_map)
 register("wordcount.reduce", wordcount_reduce)
 register("wordcount.combine", wordcount_combine, combiner_safe=True)
-register("uservisits.map", uservisits_map)
+register("uservisits.map", uservisits_map, split=uservisits_split_map)
 register("uservisits.reduce", uservisits_reduce)

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from minimapred import InvalidConfig, ReportError, register
+from minimapred import InvalidConfig, ReportError, bench, register
 from minimapred.bench import (
     CSV_COLUMNS,
     BenchMatrix,
@@ -85,6 +85,16 @@ def test_matrix_cardinality(tmp_path):
     data_len = len(token_lines(4096, 10_000, 13))
     chunks = -(-data_len // 1024)
     assert all(r.map_tasks == chunks and r.reduce_tasks == 2 for r in rows)
+
+
+def test_matrix_alternates_worker_counts_within_a_size(monkeypatch):
+    # a burst of host load then hits every worker count, not one side of a ratio
+    monkeypatch.setattr(bench, "input_bytes", lambda job, size, seed: b"")
+    monkeypatch.setattr(bench, "_run_cell",
+                        lambda matrix, size, data, workers, rep, parent: (size, rep, workers))
+    rows = run_matrix(tiny_matrix(sizes=(10, 20), worker_counts=(1, 4), repetitions=2))
+    assert rows == [(10, 0, 1), (10, 0, 4), (10, 1, 1), (10, 1, 4),
+                    (20, 0, 1), (20, 0, 4), (20, 1, 1), (20, 1, 4)]
 
 
 def test_matrix_csv_schema_and_roundtrip(tmp_path):

@@ -244,7 +244,9 @@ def test_job_failure_exits_3(tmp_path, capsys):
                    "--executor", "serial",
                    "--fail", "0:0", "--fail", "1:0", "--fail", "2:0", "--fail", "3:0")
     assert code == 3
-    assert "error:" in capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert "error:" in err
+    assert json.loads(out)["phase"] == "failed"
 
 
 def test_job_id_that_escapes_runs_dir_exits_2_and_keeps_the_store(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """The built-in wordcount and uservisits jobs."""
 
 import math
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,6 +15,7 @@ from minimapred import (
     SkipRecord,
     UnknownFunction,
     register,
+    registry,
     run_job,
     submit_job,
 )
@@ -21,6 +23,7 @@ from minimapred.jobs import (
     uservisits_lines,
     uservisits_map,
     uservisits_reduce,
+    uservisits_split_map,
     wordcount_combine,
     wordcount_map,
     wordcount_reduce,
@@ -118,6 +121,43 @@ def test_uservisits_map_skips_short_rows():
 def test_uservisits_map_skips_unparseable_revenue(bad):
     with pytest.raises(SkipRecord):
         uservisits_map(0, bad)
+
+
+def _drain(groups):
+    """The (key, values) groups a split form yields, and its return value."""
+    out = []
+    while True:
+        try:
+            out.append(next(groups))
+        except StopIteration as stop:
+            return out, stop.value
+
+
+# rows that pass and rows that each of the mapper's three checks rejects:
+# too few fields, a revenue that does not parse, and one that is not finite
+_revenue_texts = st.sampled_from([
+    b"12.50", b"0.01", b"7", b"n/a", b"", b"inf", b"-inf", b"nan", b"1e309",
+    b" 12.5 ", b"1_0", b"+7"])
+_visit_line = st.one_of(
+    st.builds(lambda ip, rev, extra, end: ip + b"|dest|" + rev + extra + end,
+              st.sampled_from([b"10.0.0.1", b"10.0.0.2", b"", b"10.9.9.9"]),
+              _revenue_texts,
+              st.sampled_from([b"", b"|agent", b"|agent|word|12", b"|a|b|c|d|e"]),
+              st.sampled_from([b"", b"\r"])),
+    st.builds(lambda ip, end: ip + b"|dest" + end,
+              st.sampled_from([b"10.0.0.1", b"10.0.0.2"]), st.sampled_from([b"", b"\r"])),
+    st.binary(max_size=12),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(lines=st.lists(_visit_line, max_size=30),
+       window=st.sampled_from([1, 3, 4096]))
+def test_uservisits_split_map_yields_per_record_groups(lines, window):
+    records = list(enumerate(lines))
+    with mock.patch.object(registry, "PER_RECORD_WINDOW", window):
+        expected = _drain(registry.per_record(uservisits_map)(iter(records), None))
+        assert _drain(uservisits_split_map(iter(records), None)) == expected
 
 
 def test_uservisits_reduce_sums_left_to_right():

@@ -40,3 +40,12 @@ def test_public_api_is_pinned():
         "UnknownFunction", "UnknownInput",
     ])
     assert [n for n in minimapred.__all__ if not hasattr(minimapred, n)] == []
+
+
+def test_every_built_in_mapper_has_its_split_form():
+    # a built-in job left on registry.per_record runs a Python call per record
+    from minimapred import jobs
+    from minimapred.registry import resolve_split
+
+    assert [job for job in jobs.JOBS
+            if resolve_split(f"{job}.map") is not getattr(jobs, f"{job}_split_map")] == []
