@@ -97,16 +97,29 @@ class Record(NamedTuple):
     line: bytes
 
 
-# Records are cut from a split ``_BLOCK`` bytes at a time, one
-# ``bytes.split`` per block; the record crossing the split's end is finished
-# with reads of ``_TAIL`` bytes, doubling up to ``_BLOCK``, so a short record
-# costs one small read and a long one few reads.
+# A split is cut into blocks of up to ``_BLOCK`` bytes of whole records (a
+# longer record is a block of its own); the record crossing the split's end
+# is finished with reads of ``_TAIL`` bytes, doubling up to ``_BLOCK``, so a
+# short record costs one small read and a long one few reads.
 _BLOCK = 64 * 1024
 _TAIL = 256
 
 # C-level helpers: building offsets and records runs no Python frame per record
 _new_record = partial(tuple.__new__, Record)
 _plus_newline = (1).__add__
+
+
+def _block_records(block: tuple[int, bytes]) -> Iterator[Record]:
+    offset, data = block
+    lines = data.split(b"\n")
+    offsets = accumulate(map(_plus_newline, map(len, lines)), initial=offset)
+    return map(_new_record, zip(offsets, lines))
+
+
+def records(blocks: Iterable[tuple[int, bytes]]) -> Iterator[Record]:
+    """The ``Record``s of the blocks ``Cluster.read_split`` yields: each
+    block's lines, with their file offsets, in order."""
+    return chain.from_iterable(map(_block_records, blocks))
 
 
 def file_id_for(path: str) -> str:
@@ -459,21 +472,21 @@ class Cluster:
             for c in meta.chunks
         ]
 
-    def read_split(self, split: InputSplit) -> Iterator[Record]:
-        """Records whose first byte lies in [start, end).
+    def read_split(self, split: InputSplit) -> Iterator[tuple[int, bytes]]:
+        """The records whose first byte lies in [start, end), as blocks.
+
+        A block is an ``(offset, bytes)`` pair: one or more whole records
+        joined by ``b"\\n"``, with no final newline, and the file offset of
+        its first record; ``records`` expands blocks into ``Record``s.
 
         A record spanning the split's end is read to completion here and
         skipped by the next split, so every record is owned by exactly one
         split. The first byte of ``start`` belongs to a record iff the
         previous byte is a newline (or start == 0); otherwise the tail of
-        the previous split's record is skipped.
+        the previous split's record is skipped. The split's bytes are read
+        once, plus one byte before it and the end of the record that
+        crosses its end.
         """
-        return chain.from_iterable(self._split_blocks(split))
-
-    def _split_blocks(self, split: InputSplit) -> Iterator[Iterable[Record]]:
-        """The records of ``split`` as one iterable per block. The split's
-        bytes are read once, plus one byte before it and the end of the
-        record that crosses its end."""
         meta = self.meta_by_id(split.file_id)
         start, end = split.start, min(split.end, meta.size)
         if start >= end:
@@ -489,12 +502,10 @@ class Cluster:
             nl = data.rfind(b"\n", pos, pos + _BLOCK)
             if nl < 0:  # a record longer than a block
                 nl = data.find(b"\n", pos + _BLOCK)
-            lines = data[pos:nl].split(b"\n")
-            offsets = accumulate(map(_plus_newline, map(len, lines)), initial=start + pos)
-            yield map(_new_record, zip(offsets, lines))
+            yield start + pos, data[pos:nl]
             pos = nl + 1
         if last < len(data):
-            yield (Record(start + last, data[last:] + self._tail(meta, end)),)
+            yield start + last, data[last:] + self._tail(meta, end)
 
     def _tail(self, meta: FileMeta, pos: int) -> bytes:
         """Bytes from ``pos`` up to the first newline or EOF."""

@@ -4,17 +4,16 @@ revenue aggregation over pipe-delimited user-visit records.
 Record mappers take (byte offset, line bytes) and return a list of (key,
 value) byte pairs; reducers and combiners take (key, ordered value list) and
 return a list of output pairs. Both mappers also have a split form, which
-takes the split's whole (offset, line) iterator and the job's combiner and
-yields (key, values) groups, under the contract in ``registry``. Counts
-are serialized as decimal text, revenue sums as shortest round-trip
-decimals, so outputs are byte-reproducible.
+takes the split's whole iterator of (offset, bytes) blocks of lines and the
+job's combiner and yields (key, values) groups, under the contract in
+``registry``. Counts are serialized as decimal text, revenue sums as
+shortest round-trip decimals, so outputs are byte-reproducible.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from itertools import chain
 from typing import Callable, Iterable, Iterator
 
 from . import registry
@@ -52,16 +51,19 @@ wordcount_combine = wordcount_reduce
 
 
 def wordcount_split_map(
-    records: Iterable[tuple[int, bytes]], combiner: Callable | None
+    blocks: Iterable[tuple[int, bytes]], combiner: Callable | None
 ) -> Iterator[tuple[bytes, list[bytes]]]:
-    """Split form of ``wordcount_map``: count the whole split's tokens at
-    once (in-mapper combining), then yield one group per distinct token,
-    its count pre-combined if the combiner is ``wordcount_combine``.
+    """Split form of ``wordcount_map``: count the whole split's tokens
+    (in-mapper combining), one ``split`` per block, then yield one group
+    per distinct token, its count pre-combined if the combiner is
+    ``wordcount_combine``.
 
-    The counts span the whole split: in a block of a few KiB almost every
-    token is new, so counting per block saves little. The groups are
-    yielded lazily, so no more of them is alive than the buffer holds."""
-    counts = Counter(chain.from_iterable(line.split() for _, line in records))
+    A token never spans lines, so a block's tokens are its lines' tokens in
+    order. The groups are yielded lazily, so no more of them is alive than
+    the buffer holds."""
+    counts: Counter[bytes] = Counter()
+    for _, block in blocks:
+        counts.update(block.split())
     if combiner is wordcount_combine:
         return ((k, [str(n).encode()]) for k, n in counts.items())
     return ((k, [ONE] * n) for k, n in counts.items())
@@ -91,39 +93,40 @@ def uservisits_map(offset: int, line: bytes) -> list[tuple[bytes, bytes]]:
 
 
 def uservisits_split_map(
-    records: Iterable[tuple[int, bytes]], combiner: Callable | None
+    blocks: Iterable[tuple[int, bytes]], combiner: Callable | None
 ) -> Iterator[tuple[bytes, list[bytes]]]:
     """Split form of ``uservisits_map``: the same checks in one loop over
-    the split, yielding the groups ``per_record(uservisits_map)`` yields
-    (per key, in emission order, every ``registry.PER_RECORD_WINDOW``
-    values), so a map task holds no more than on the record path. Returns
-    the number of rows skipped."""
+    the split's rows, block by block, yielding the groups
+    ``per_record(uservisits_map)`` yields (per key, in emission order, every
+    ``registry.PER_RECORD_WINDOW`` values), so a map task holds no more
+    than on the record path. Returns the number of rows skipped."""
     del combiner
     window = registry.PER_RECORD_WINDOW
     groups: dict[bytes, list[bytes]] = {}
     skipped = pending = 0
-    for _, line in records:
-        fields = line.split(b"|", 3)  # fields 0-2 as a full split gives them
-        if len(fields) < 3:
-            skipped += 1
-            continue
-        try:
-            revenue = float(fields[2])
-        except ValueError:
-            skipped += 1
-            continue
-        if not math.isfinite(revenue):
-            skipped += 1
-            continue
-        vals = groups.get(fields[0])
-        if vals is None:
-            groups[fields[0]] = [repr(revenue).encode()]
-        else:
-            vals.append(repr(revenue).encode())
-        pending += 1
-        if pending >= window:
-            yield from groups.items()
-            groups, pending = {}, 0
+    for _, block in blocks:
+        for line in block.split(b"\n"):
+            fields = line.split(b"|", 3)  # fields 0-2 as a full split gives them
+            if len(fields) < 3:
+                skipped += 1
+                continue
+            try:
+                revenue = float(fields[2])
+            except ValueError:
+                skipped += 1
+                continue
+            if not math.isfinite(revenue):
+                skipped += 1
+                continue
+            vals = groups.get(fields[0])
+            if vals is None:
+                groups[fields[0]] = [repr(revenue).encode()]
+            else:
+                vals.append(repr(revenue).encode())
+            pending += 1
+            if pending >= window:
+                yield from groups.items()
+                groups, pending = {}, 0
     yield from groups.items()
     return skipped
 

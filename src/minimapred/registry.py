@@ -6,8 +6,10 @@ commutative; the engine refuses undeclared ones.
 
 The engine runs every mapper through its *split form*: the one registered
 with it, or else ``per_record`` of the record mapper. It is called as
-``split(records, combiner)``, where ``records`` is the split's
-``(offset, line)`` iterator and ``combiner`` is the job's resolved
+``split(blocks, combiner)``, where ``blocks`` is the split's iterator of
+``(offset, bytes)`` blocks from ``Cluster.read_split`` (whole records
+joined by ``b"\\n"``; ``dfs.records`` expands them into the record mapper's
+``(offset, line)`` records) and ``combiner`` is the job's resolved
 combiner or None, and it yields ``(key, values)`` groups:
 
 - keys may come in any order, and may repeat; every ``values`` list is
@@ -27,6 +29,7 @@ from __future__ import annotations
 
 from typing import Callable
 
+from .dfs import records
 from .errors import SkipRecord, UnknownFunction
 
 # id -> (function, combiner-safe, split form)
@@ -46,14 +49,15 @@ def register(fn_id: str, fn: Callable, combiner_safe: bool = False,
 
 
 def per_record(fn: Callable) -> Callable:
-    """The split form that calls record mapper ``fn`` per record, counts
-    the records it rejects with SkipRecord, and hands on its values grouped
-    per key, in emission order, every ``PER_RECORD_WINDOW`` pairs: a map
-    task running it holds about spill_pairs + PER_RECORD_WINDOW values."""
-    def split(records, combiner):
+    """The split form that expands the blocks with ``dfs.records``, calls
+    record mapper ``fn`` per record, counts the records it rejects with
+    SkipRecord, and hands on its values grouped per key, in emission order,
+    every ``PER_RECORD_WINDOW`` pairs: a map task running it holds about
+    spill_pairs + PER_RECORD_WINDOW values."""
+    def split(blocks, combiner):
         groups: dict[bytes, list[bytes]] = {}
         skipped = pending = 0
-        for offset, line in records:
+        for offset, line in records(blocks):
             try:
                 pairs = fn(offset, line)
             except SkipRecord:

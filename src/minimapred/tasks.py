@@ -103,8 +103,9 @@ def run_map_task(
     """Run the mapper's split form over the split's records and leave
     key-sorted runs for each partition on the executing node's local store.
 
-    ``mapper(records, combiner)`` is called once, and the buffer takes each
-    key group it yields, values per key in emission order. One writer
+    ``mapper(blocks, combiner)`` is called once, on ``read_split``'s
+    blocks, and the buffer takes each key group it yields, values per key
+    in emission order. One writer
     sorts and partitions the buffer and writes it out as runs: at
     ``spill_pairs`` buffered values, checked after each group, as one spill
     run ``<run>.spill<i>`` per non-empty partition, and at the end as the

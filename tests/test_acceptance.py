@@ -23,6 +23,7 @@ from minimapred import (
     run_job,
     submit_job,
 )
+from minimapred import dfs
 from minimapred.bench import BenchMatrix, run_matrix, speedup_report, token_lines
 from minimapred.hashing import placement_hash
 from minimapred.jobs import uservisits_lines, uservisits_map, wordcount_map
@@ -216,7 +217,8 @@ def test_criterion_6_split_integrity():
                 ClusterConfig(num_nodes=3, chunk_size=chunk, replication=1, seed=trial)
             )
             meta = cluster.put_file("f", data)
-            records = [r for s in cluster.make_splits(meta) for r in cluster.read_split(s)]
+            records = [r for s in cluster.make_splits(meta)
+                       for r in dfs.records(cluster.read_split(s))]
             assert [r.line for r in records] == oracles.split_lines(data), (
                 f"trial {trial}: chunk={chunk} size={len(data)}"
             )

@@ -1,5 +1,6 @@
 """Storage layer: chunking, placement, replicas, splits, record reading."""
 
+import itertools
 import json
 import os
 import tempfile
@@ -199,7 +200,7 @@ def test_full_split_reads_simple_records():
     c = cluster(chunk=64)
     meta = c.put_file("f", b"aa\nbb\n")
     [split] = c.make_splits(meta)
-    assert list(c.read_split(split)) == [(0, b"aa"), (3, b"bb")]
+    assert list(dfs.records(c.read_split(split))) == [(0, b"aa"), (3, b"bb")]
 
 
 def test_boundary_mid_record_ownership():
@@ -208,8 +209,8 @@ def test_boundary_mid_record_ownership():
     c = cluster(nodes=3, chunk=6, repl=1)
     meta = c.put_file("f", b"aaa\nbbbb\ncc")
     s0, s1 = c.make_splits(meta)
-    assert [r.line for r in c.read_split(s0)] == [b"aaa", b"bbbb"]
-    assert [r.line for r in c.read_split(s1)] == [b"cc"]
+    assert [r.line for r in dfs.records(c.read_split(s0))] == [b"aaa", b"bbbb"]
+    assert [r.line for r in dfs.records(c.read_split(s1))] == [b"cc"]
 
 
 def test_boundary_exactly_at_record_start():
@@ -217,15 +218,15 @@ def test_boundary_exactly_at_record_start():
     c = cluster(nodes=3, chunk=4, repl=1)
     meta = c.put_file("f", b"aaa\nbbb\n")
     s0, s1 = c.make_splits(meta)
-    assert [r.line for r in c.read_split(s0)] == [b"aaa"]
-    assert [r.line for r in c.read_split(s1)] == [b"bbb"]
+    assert [r.line for r in dfs.records(c.read_split(s0))] == [b"aaa"]
+    assert [r.line for r in dfs.records(c.read_split(s1))] == [b"bbb"]
 
 
 def test_split_concat_equals_line_oracle():
     c = cluster(nodes=4, chunk=13)
     data = b"alpha\nbeta gamma\n\ndelta\nepsilon zeta eta\ntail-no-newline"
     meta = c.put_file("f", data)
-    got = [r.line for s in c.make_splits(meta) for r in c.read_split(s)]
+    got = [r.line for s in c.make_splits(meta) for r in dfs.records(c.read_split(s))]
     assert got == oracles.split_lines(data)
 
 
@@ -241,7 +242,7 @@ def test_split_completeness_property(lines, trailing, chunk):
         data += b"\n"
     c = cluster(nodes=3, chunk=chunk, repl=1)
     meta = c.put_file("f", data)
-    records = [r for s in c.make_splits(meta) for r in c.read_split(s)]
+    records = [r for s in c.make_splits(meta) for r in dfs.records(c.read_split(s))]
     assert [r.line for r in records] == oracles.split_lines(data)
     assert [r.offset for r in records] == [
         off for off, _ in oracles.records_with_offsets(data)
@@ -266,8 +267,17 @@ def _check_block_scan(c, lines, trailing, block, tail):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dfs, "_BLOCK", block)
         mp.setattr(dfs, "_TAIL", tail)
-        records = [r for s in c.make_splits(meta) for r in c.read_split(s)]
+        blocks = [b for s in c.make_splits(meta) for b in c.read_split(s)]
+    records = list(dfs.records(blocks))
     assert records == oracles.records_with_offsets(data)
+    # each block is the next run of whole records, joined by newlines
+    expected = iter(oracles.records_with_offsets(data))
+    for offset, text in blocks:
+        recs = list(itertools.islice(expected, text.count(b"\n") + 1))
+        assert b"\n".join(line for _, line in recs) == text
+        assert recs[0][0] == offset
+        if len(text) > block:
+            assert len(recs) == 1
 
 
 @settings(max_examples=300, deadline=None)
@@ -294,7 +304,8 @@ def test_block_without_newline_cuts_the_long_record_only(monkeypatch):
     c = cluster(chunk=64)
     meta = c.put_file("f", b"a\n" + b"x" * 20 + b"\nbb\ncc\n")
     [split] = c.make_splits(meta)
-    assert list(c.read_split(split)) == [(0, b"a"), (2, b"x" * 20), (23, b"bb"), (26, b"cc")]
+    assert list(dfs.records(c.read_split(split))) == [
+        (0, b"a"), (2, b"x" * 20), (23, b"bb"), (26, b"cc")]
 
 
 @pytest.mark.parametrize("kind", ["memory", "disk"])
@@ -317,7 +328,7 @@ def test_split_reads_own_bytes_once(kind, tmp_path):
     records = []
     for s in c.make_splits(meta):
         split_index[0] = s.split_index
-        records += c.read_split(s)
+        records += dfs.records(c.read_split(s))
     assert records == oracles.records_with_offsets(data)
     assert sum(n for _, _, n in reads) <= 1.01 * len(data)
     for s in c.make_splits(meta)[1:]:
@@ -334,7 +345,7 @@ def test_dead_tail_chunk_raises_instead_of_truncating(dead_chunk):
         c.mark_node_dead(node)
     got = []
     with pytest.raises(ChunkUnavailable) as exc:
-        for r in c.read_split(c.make_splits(meta)[0]):
+        for r in dfs.records(c.read_split(c.make_splits(meta)[0])):
             got.append(r)
     assert exc.value.chunk_index == dead_chunk
     assert got == [(0, b"aaaa")]

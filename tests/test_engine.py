@@ -44,7 +44,7 @@ from minimapred.jobs import (
     wordcount_split_map,
 )
 from minimapred.jobtypes import SPILL_PAIRS
-from minimapred import registry
+from minimapred import dfs, registry
 from minimapred.registry import per_record, resolve_split
 
 import oracles
@@ -424,7 +424,7 @@ def _emissions_split(records, combiner):
     """Split form of ``_emissions_map`` that yields each record's pairs
     grouped by key, so a key's groups repeat across records."""
     del combiner
-    for offset, line in records:
+    for offset, line in dfs.records(records):
         groups: dict[bytes, list[bytes]] = {}
         for k, v in _emissions_map(offset, line):
             groups.setdefault(k, []).append(v)
@@ -469,8 +469,9 @@ _combiners = {None: None, "wordcount.combine": wordcount_combine, "emissions.joi
 @settings(max_examples=80, deadline=None)
 @given(lines=_token_lines, combiner_id=st.sampled_from(sorted(_combiners, key=str)),
        spill_pairs=st.one_of(st.integers(1, 20), st.integers(1, 10**9)),
-       reducers=st.integers(1, 3))
-def test_wordcount_split_form_matches_record_form(lines, combiner_id, spill_pairs, reducers):
+       reducers=st.integers(1, 3), block=st.sampled_from([1, 4, 16, dfs._BLOCK]))
+def test_wordcount_split_form_matches_record_form(lines, combiner_id, spill_pairs, reducers,
+                                                  block):
     # empty lines, repeated tokens, tabs, \r and non-ASCII bytes
     data = b"".join(b"".join(sep + tok for sep, tok in line) + b"\n" for line in lines)
     combiner = _combiners[combiner_id]
@@ -491,8 +492,10 @@ def test_wordcount_split_form_matches_record_form(lines, combiner_id, spill_pair
                    for names in runs]
         return any(".spill" in n for n in written), raw, grouped
 
-    spilled, record_raw, record_grouped = map_runs(per_record(wordcount_map))
-    split_spilled, split_raw, split_grouped = map_runs(wordcount_split_map)
+    # small blocks: many blocks per split, and records longer than a block
+    with mock.patch.object(dfs, "_BLOCK", block):
+        spilled, record_raw, record_grouped = map_runs(per_record(wordcount_map))
+        split_spilled, split_raw, split_grouped = map_runs(wordcount_split_map)
     if not spilled and not split_spilled:
         assert split_raw == record_raw
     assert split_grouped == record_grouped
@@ -509,7 +512,8 @@ def test_wordcount_split_form_matches_record_form(lines, combiner_id, spill_pair
         report = submit_job(c, spec, RunOptions(executor="serial", spill_pairs=spill_pairs))
         return [c.get_file(part) for part in report.parts]
 
-    assert job_parts("wordcount.map") == job_parts("wordcount_record.map")
+    with mock.patch.object(dfs, "_BLOCK", block):
+        assert job_parts("wordcount.map") == job_parts("wordcount_record.map")
 
 
 # a visit row's revenue column: None stands for a row of only two fields;
@@ -892,7 +896,7 @@ def _comment_skipping_split(records, combiner):
     """Split form that skips comment lines and returns how many it skipped."""
     kept = []
     skipped = 0
-    for offset, line in records:
+    for offset, line in dfs.records(records):
         if line.startswith(b"#"):
             skipped += 1
         else:

@@ -152,12 +152,21 @@ _visit_line = st.one_of(
 
 @settings(max_examples=150, deadline=None)
 @given(lines=st.lists(_visit_line, max_size=30),
-       window=st.sampled_from([1, 3, 4096]))
-def test_uservisits_split_map_yields_per_record_groups(lines, window):
-    records = list(enumerate(lines))
+       window=st.sampled_from([1, 3, 4096]), draw=st.data())
+def test_uservisits_split_map_yields_per_record_groups(lines, window, draw):
+    # the lines as blocks, cut where a drawn flag says a line starts a new one
+    starts = draw.draw(st.lists(st.booleans(), min_size=len(lines), max_size=len(lines)))
+    blocks = []
+    offset = 0
+    for line, start in zip(lines, starts):
+        if start or not blocks:
+            blocks.append((offset, line))
+        else:
+            blocks[-1] = (blocks[-1][0], blocks[-1][1] + b"\n" + line)
+        offset += len(line) + 1
     with mock.patch.object(registry, "PER_RECORD_WINDOW", window):
-        expected = _drain(registry.per_record(uservisits_map)(iter(records), None))
-        assert _drain(uservisits_split_map(iter(records), None)) == expected
+        expected = _drain(registry.per_record(uservisits_map)(iter(blocks), None))
+        assert _drain(uservisits_split_map(iter(blocks), None)) == expected
 
 
 def test_uservisits_reduce_sums_left_to_right():

@@ -75,6 +75,9 @@ def test_tracer_wraps_the_shuffle_path_and_restores_it(tmp_path):
     names = {s["name"] for s in spans}
     for name in ("tasks.write_run", "tasks.shuffle_merge", "tasks.group_by_key"):
         assert name in names
+    # every split read goes through the method the tracer wraps
+    assert sum(s.get("bytes", 0) for s in spans
+               if s["name"] == "dfs.read_split") == len(_spilling_job_input())
     # each emitted pair is encoded once: spills and final runs are the map
     # output, with no map-side merge writing them again
     emitted = sum(len(wordcount_map(offset, line))
