@@ -7,7 +7,9 @@ return a list of output pairs. Both mappers also have a split form, which
 takes the split's whole iterator of (offset, bytes) blocks of lines and the
 job's combiner and yields (key, values) groups, under the contract in
 ``registry``. Counts are serialized as decimal text, revenue sums as
-shortest round-trip decimals, so outputs are byte-reproducible.
+shortest round-trip decimals, so outputs are byte-reproducible. The summing
+reducer (also the combiner) counts an all-``b"1"`` value list, as a job
+without a combiner ships it, without parsing it.
 """
 
 from __future__ import annotations
@@ -35,13 +37,22 @@ def wordcount_map(offset: int, line: bytes) -> list[tuple[bytes, bytes]]:
 
 
 def wordcount_reduce(key: bytes, values: list[bytes]) -> list[tuple[bytes, bytes]]:
+    """Sum the decimal counts. A list of only ``b"1"``, which is what an
+    uncombined wordcount ships per occurrence, is counted at C speed
+    without parsing; the sum is the same."""
+    if values.count(ONE) == len(values):
+        return [(key, str(len(values)).encode())]
     try:
         total = sum(map(int, values))
     except ValueError:
-        bad = next(v for v in values if not v.strip(b"-").isdigit())
-        raise ValueError(
-            f"count {bad!r} for token {key!r} is not an integer"
-        ) from None
+        for bad in values:
+            try:
+                int(bad)
+            except ValueError:
+                raise ValueError(
+                    f"count {bad!r} for token {key!r} is not an integer"
+                ) from None
+        raise
     return [(key, str(total).encode())]
 
 

@@ -7,6 +7,9 @@ import pytest
 from minimapred import ReportError, bench, cli
 from minimapred.cli import main
 
+import oracles
+from test_engine import random_tokens
+
 
 @pytest.fixture(autouse=True)
 def isolated_store(tmp_path, monkeypatch):
@@ -102,6 +105,30 @@ def test_job_run_wordcount_two_parts(tmp_path, capsys):
             k, v = line.split("\t")
             counts[k] = int(v)
     assert counts == {"a": 150, "b": 100, "c": 50}
+
+
+@pytest.mark.parametrize("executor", ["serial", "processes"])
+def test_job_run_wordcount_without_combiner_matches_combined_and_oracle(
+        tmp_path, capsysbinary, executor):
+    data = random_tokens(11, n=3000, vocab=60)
+    src = tmp_path / "tok"
+    src.write_bytes(data)
+    run_cli("dfs", "put", str(src), "tok", "--chunk-size", "2048")
+    capsysbinary.readouterr()
+    parts = {}
+    for output, flags in (("plain", ["--no-combiner"]), ("combined", [])):
+        assert run_cli("job", "run", "wordcount", "--input", "tok", "--output", output,
+                       "--reducers", "3", "--executor", executor, "--workers", "2",
+                       *flags) == 0
+        report = json.loads(capsysbinary.readouterr().out)
+        assert report["phase"] == "done" and report["map_tasks"] > 1
+        parts[output] = []
+        for part in report["parts"]:
+            assert run_cli("dfs", "cat", part) == 0
+            parts[output].append(capsysbinary.readouterr().out)
+    assert parts["plain"] == parts["combined"]
+    counts = dict(line.split(b"\t") for part in parts["plain"] for line in part.splitlines())
+    assert counts == {k: str(v).encode() for k, v in oracles.wordcount(data).items()}
 
 
 def test_unknown_job_name_usage_error(capsys):

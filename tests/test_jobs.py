@@ -1,10 +1,11 @@
 """The built-in wordcount and uservisits jobs."""
 
 import math
+import re
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from minimapred import (
     Cluster,
@@ -64,8 +65,34 @@ def test_wordcount_reduce_sums():
 
 
 def test_wordcount_reduce_parse_diagnostic():
-    with pytest.raises(ValueError, match="not an integer"):
-        wordcount_reduce(b"k", [b"1", b"zzz"])
+    # the last three pass strip(b"-").isdigit() but int() rejects them
+    for bad in (b"zzz", b"--1", b"1-", b"-1-"):
+        with pytest.raises(ValueError, match=f"count {re.escape(repr(bad))} .* not an integer"):
+            wordcount_reduce(b"k", [b"1", bad])
+
+
+# counts int() accepts; the reducer's all-b"1" shortcut must give their sum
+_int_counts = st.sampled_from([b"1", b"01", b"+1", b" 1", b"-1", b"2", b"1_0"])
+_count_lists = st.one_of(st.lists(st.just(b"1"), max_size=40),
+                         st.lists(_int_counts, max_size=40))
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=_count_lists)
+@example(values=[])
+@example(values=[b"1"] * 7)
+def test_wordcount_reduce_equals_int_sum(values):
+    assert wordcount_reduce(b"k", values) == [(b"k", str(sum(map(int, values))).encode())]
+
+
+@settings(max_examples=150, deadline=None)
+@given(values=_count_lists,
+       bad=st.sampled_from([b"zzz", b"--1", b"1-", b"-1-", b"", b"1.0", b"one", b"1 1"]),
+       draw=st.data())
+def test_wordcount_reduce_names_one_bad_count(values, bad, draw):
+    at = draw.draw(st.integers(0, len(values)))
+    with pytest.raises(ValueError, match=f"count {re.escape(repr(bad))} .* not an integer"):
+        wordcount_reduce(b"k", values[:at] + [bad] + values[at:])
 
 
 def test_bad_counts_fail_job_with_diagnostic(small_cluster):
