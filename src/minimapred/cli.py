@@ -26,12 +26,7 @@ DEFAULT_STORE = "./minimapred_store"
 _FAILURE_ERRORS = (JobFailed, ReportError)
 
 
-def _add_cluster_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--nodes", type=int, default=None, help="default 4")
-    p.add_argument("--chunk-size", type=bench.parse_size, default=None,
-                   metavar="BYTES", help="chunk size, e.g. 4MiB (default 16MiB)")
-    p.add_argument("--replication", type=int, default=None, help="default 2")
-    p.add_argument("--seed", type=int, default=None, help="default 42")
+def _add_store_root(p: argparse.ArgumentParser) -> None:
     p.add_argument("--store-root", default=DEFAULT_STORE,
                    help="store directory (MINIMAPRED_STORE overrides)")
 
@@ -43,22 +38,6 @@ def _store_root(args) -> str:
 def _given(**flags) -> dict:
     """The flags given on the command line; a flag left out is None."""
     return {k: v for k, v in flags.items() if v is not None}
-
-
-def _open_cluster(args, create: bool = False) -> Cluster:
-    """Open the store, creating it with flag/default config only if
-    ``create``. Flags left out keep an existing store's persisted config;
-    open_disk rejects flags that contradict it."""
-    root = _store_root(args)
-    flags = _given(num_nodes=args.nodes, chunk_size=args.chunk_size,
-                   replication=args.replication, seed=args.seed)
-    if os.path.exists(os.path.join(root, "cluster.json")):
-        config = Cluster.open_disk(root).config
-    elif create:
-        config = ClusterConfig()
-    else:
-        raise NotFound(f"store {root!r} not found: it has no cluster.json")
-    return Cluster.open_disk(root, dataclasses.replace(config, **flags))
 
 
 def _size_list(text: str) -> tuple[int, ...]:
@@ -77,23 +56,28 @@ def build_parser() -> argparse.ArgumentParser:
     dfs_sub = dfs.add_subparsers(dest="dfs_command", required=True)
 
     p = dfs_sub.add_parser("put", help="store a local file")
-    _add_cluster_flags(p)
+    _add_store_root(p)
+    p.add_argument("--nodes", type=int, default=None, help="default 4")
+    p.add_argument("--chunk-size", type=bench.parse_size, default=None,
+                   metavar="BYTES", help="chunk size, e.g. 4MiB (default 16MiB)")
+    p.add_argument("--replication", type=int, default=None, help="default 2")
+    p.add_argument("--seed", type=int, default=None, help="default 42")
     p.add_argument("local_file")
     p.add_argument("dfs_path")
 
     p = dfs_sub.add_parser("get", aliases=["cat"], help="fetch a file")
-    _add_cluster_flags(p)
+    _add_store_root(p)
     p.add_argument("dfs_path")
     p.add_argument("--output", help="local destination (default: stdout)")
 
     p = dfs_sub.add_parser("ls", help="list stored files with chunk layout")
-    _add_cluster_flags(p)
+    _add_store_root(p)
     p.add_argument("prefix", nargs="?", default="")
 
     p = sub.add_parser("job", help="run a MapReduce job")
     job_sub = p.add_subparsers(dest="job_command", required=True)
     p = job_sub.add_parser("run")
-    _add_cluster_flags(p)
+    _add_store_root(p)
     p.add_argument("job_name", choices=JOBS)
     p.add_argument("--input", required=True, help="DFS input path")
     p.add_argument("--output", required=True, help="DFS output directory")
@@ -138,12 +122,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_dfs(args) -> int:
-    cluster = _open_cluster(args, create=args.dfs_command == "put")
+    root = _store_root(args)
     if args.dfs_command == "put":
+        # flags left out keep an existing store's config; open_disk rejects
+        # flags that contradict it
+        try:
+            config = Cluster.open_disk(root).config
+        except NotFound:
+            config = ClusterConfig()
+        cluster = Cluster.open_disk(root, dataclasses.replace(config, **_given(
+            num_nodes=args.nodes, chunk_size=args.chunk_size,
+            replication=args.replication, seed=args.seed)))
         with open(args.local_file, "rb") as f:
             meta = cluster.put_file(args.dfs_path, f.read())
         print(f"stored {meta.path} ({meta.size} bytes, {len(meta.chunks)} chunks)")
-    elif args.dfs_command in ("get", "cat"):
+        return 0
+    cluster = Cluster.open_disk(root)
+    if args.dfs_command in ("get", "cat"):
         data = cluster.get_file(args.dfs_path)
         if args.output:
             with open(args.output, "wb") as f:
@@ -161,7 +156,7 @@ def cmd_dfs(args) -> int:
 
 
 def cmd_job(args) -> int:
-    cluster = _open_cluster(args)
+    cluster = Cluster.open_disk(_store_root(args))
     plan = FailurePlan.parse(args.fail) if args.fail else None
     spec = job_spec(args.job_name, args.job_id or f"{args.job_name}-{uuid.uuid4().hex[:8]}",
                     args.input, args.output, args.reducers, combine=not args.no_combiner)

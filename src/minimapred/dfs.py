@@ -347,13 +347,15 @@ class Cluster:
 
     @classmethod
     def open_disk(cls, root: str, config: ClusterConfig | None = None) -> "Cluster":
-        """Open (or create) a disk-backed cluster rooted at ``root``.
+        """Open the disk-backed cluster rooted at ``root``; given ``config``,
+        create it there if no store exists yet.
 
-        The cluster config is persisted alongside the data by atomic rename;
-        reopening with a conflicting explicit config, or over an unreadable
-        one, is an error, since placement and chunking of stored files depend on it.
+        A store is a root with a ``cluster.json``, the config it was created
+        with, written by atomic rename. Without ``config``, a root that has
+        none raises ``NotFound`` and nothing is created. Reopening with a
+        conflicting config, or over an unreadable one, is an error, since
+        placement and chunking of stored files depend on it.
         """
-        store = DiskStore(root)
         cfg_path = os.path.join(root, _CONFIG_FILE)
         if os.path.exists(cfg_path):
             try:
@@ -366,10 +368,11 @@ class Cluster:
                     f"store at {root!r} was created with {stored.to_dict()}, "
                     f"which conflicts with {config.to_dict()}"
                 )
-            config = stored
-        else:
-            config = config if config is not None else ClusterConfig()
-            store._atomic_write(cfg_path, json.dumps(config.to_dict()).encode())
+            return cls(stored, DiskStore(root))
+        if config is None:
+            raise NotFound(f"store {root!r} not found: it has no {_CONFIG_FILE}")
+        store = DiskStore(root)
+        store._atomic_write(cfg_path, json.dumps(config.to_dict()).encode())
         return cls(config, store)
 
     # -- liveness ----------------------------------------------------------

@@ -27,6 +27,8 @@ class FailureEvent:
     def __post_init__(self):
         if (self.tick is None) == (self.after_task is None):
             raise InvalidPlan("event needs exactly one trigger: tick or after_task")
+        if self.tick is not None and self.tick < 0:
+            raise InvalidPlan(f"tick must be >= 0, got {self.tick}")
 
 
 @dataclass(frozen=True)

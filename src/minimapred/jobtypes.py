@@ -7,7 +7,7 @@ import enum
 import json
 from dataclasses import asdict, dataclass, field
 
-from .dfs import InputSplit
+from .dfs import InputSplit, part_file_path
 from .errors import InvalidConfig, require_ints
 
 MAX_TASK_ATTEMPTS = 4
@@ -33,6 +33,14 @@ class JobSpec:
         require_ints("num_reducers", self.num_reducers)
         if self.num_reducers < 1:
             raise InvalidConfig(f"num_reducers must be >= 1, got {self.num_reducers}")
+        # a reducer that replaced its job's input would change what re-executed
+        # maps read; a part index below num_reducers has at most this many digits
+        r = self.input_path.rpartition("/part-r-")[2]
+        if (r.isdecimal() and len(r) <= max(5, len(str(self.num_reducers)))
+                and int(r) < self.num_reducers
+                and self.input_path == part_file_path(self.output_path, int(r))):
+            raise InvalidConfig(f"input {self.input_path!r} is part {int(r)} of the "
+                                f"job's own output {self.output_path!r}")
 
 
 class TaskState(enum.Enum):

@@ -179,6 +179,18 @@ def test_bad_fail_spec_exits_2(tmp_path, capsys):
     assert code == 2
 
 
+def test_job_whose_input_is_one_of_its_own_parts_exits_2(tmp_path, capsysbinary):
+    src = tmp_path / "tok"
+    src.write_bytes(b"alpha beta gamma delta\n" * 100)
+    run_cli("dfs", "put", str(src), "o/part-r-00000", "--chunk-size", "512")
+    capsysbinary.readouterr()
+    assert run_cli("job", "run", "wordcount", "--input", "o/part-r-00000", "--output", "o",
+                   "--reducers", "2", "--executor", "serial") == 2
+    assert b"own output" in capsysbinary.readouterr().err
+    assert run_cli("dfs", "cat", "o/part-r-00000") == 0
+    assert capsysbinary.readouterr().out == src.read_bytes()
+
+
 def test_store_root_env_override(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("MINIMAPRED_STORE", str(tmp_path / "envstore"))
     src = tmp_path / "f"
@@ -192,8 +204,27 @@ def test_conflicting_flags_on_existing_store_exit_2(tmp_path, capsys):
     src = tmp_path / "f"
     src.write_bytes(b"x")
     run_cli("dfs", "put", str(src), "f", "--chunk-size", "64")
-    assert run_cli("dfs", "ls", "--chunk-size", "128") == 2
+    assert run_cli("dfs", "put", str(src), "g", "--chunk-size", "128") == 2
+    assert "conflicts" in capsys.readouterr().err
     assert run_cli("dfs", "ls") == 0  # omitted flags use the stored config
+    assert [line.split("\t")[0] for line in capsys.readouterr().out.splitlines()
+            if not line.startswith(" ")] == ["f"]
+
+
+@pytest.mark.parametrize("flag", ["--nodes 3", "--chunk-size 4MiB", "--replication 1",
+                                  "--seed 7"])
+@pytest.mark.parametrize("argv", [
+    ["dfs", "get", "f"],
+    ["dfs", "cat", "f"],
+    ["dfs", "ls"],
+    ["job", "run", "wordcount", "--input", "f", "--output", "o"],
+], ids=["get", "cat", "ls", "job-run"])
+def test_store_shape_flags_off_put_are_usage_errors(capsys, argv, flag):
+    # only dfs put creates a store, so only it takes the store's shape
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv, *flag.split())
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("text", ["", '{"num_nodes": 4, "bogus": 1}', '{"chunk_size": 1.5}',

@@ -443,6 +443,16 @@ def test_disk_config_persisted_and_conflicts_rejected(tmp_path):
         Cluster.open_disk(root, ClusterConfig(num_nodes=8))
 
 
+def test_open_disk_without_config_creates_nothing(tmp_path):
+    root = tmp_path / "missing"
+    with pytest.raises(NotFound, match="not found: it has no cluster.json"):
+        Cluster.open_disk(str(root))
+    assert not root.exists()
+    cfg = ClusterConfig(num_nodes=3, chunk_size=32, replication=2, seed=5)
+    assert Cluster.open_disk(str(root), cfg).config == cfg  # a config creates the store
+    assert Cluster.open_disk(str(root)).config == cfg
+
+
 def test_disk_dead_marker_visible_to_new_handles(tmp_path):
     root = str(tmp_path / "s")
     cfg = ClusterConfig(num_nodes=2, chunk_size=32, replication=2, seed=5)

@@ -835,6 +835,25 @@ def test_num_reducers_must_be_a_positive_int(reducers, message):
         wc_spec(reducers=reducers)
 
 
+@pytest.mark.parametrize("input_path, output_path, reducers", [
+    ("o/part-r-00000", "o", 2),
+    ("o/part-r-00001", "o/", 2),
+    ("/part-r-00000", "", 1),
+])
+def test_input_that_is_one_of_the_jobs_own_parts_rejected(input_path, output_path, reducers):
+    # reduce-0 would replace the input before re-executed maps read it
+    with pytest.raises(InvalidConfig, match="own output"):
+        replace(wc_spec(out=output_path, reducers=reducers), input_path=input_path)
+
+
+def test_input_beside_the_jobs_own_parts_accepted():
+    for input_path, reducers in (("o/part-r-00002", 2), ("o/part-r-00001", 1),
+                                 ("o/part-r-0", 2), ("p/part-r-00000", 2),
+                                 ("o/part-r-" + "1" * 5000, 2)):
+        spec = replace(wc_spec(out="o", reducers=reducers), input_path=input_path)
+        assert spec.input_path == input_path
+
+
 def test_plain_job_ids_accepted():
     for job_id in ("wc", "uv-parallel-12", "wordcount-1a2b3c4d", "..x", "a.b"):
         assert wc_spec(job_id=job_id).job_id == job_id

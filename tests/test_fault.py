@@ -47,7 +47,7 @@ def test_parse_fail_specs():
     )
 
 
-@pytest.mark.parametrize("spec", ["x:5", "1", "1:after", "1:later:map-2", "1:2:3:4"])
+@pytest.mark.parametrize("spec", ["x:5", "1", "1:after", "1:later:map-2", "1:2:3:4", "1:-7"])
 def test_parse_rejects_malformed_specs(spec):
     with pytest.raises(InvalidPlan):
         FailurePlan.parse([spec])

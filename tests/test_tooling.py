@@ -2,6 +2,8 @@
 
 import ast
 import os
+import re
+import shlex
 import sys
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -49,3 +51,26 @@ def test_every_built_in_mapper_has_its_split_form():
 
     assert [job for job in jobs.JOBS
             if resolve_split(f"{job}.map") is not getattr(jobs, f"{job}_split_map")] == []
+
+
+def test_readme_cli_commands_parse():
+    # a reader copies these lines; each must still be a command the CLI takes
+    from minimapred import cli
+
+    with open(os.path.join(SRC, "..", "..", "README.md")) as f:
+        blocks = re.findall(r"^```sh\n(.*?)^```", f.read(), re.S | re.M)
+    commands = [argv for block in blocks
+                for argv in (shlex.split(line, comments=True)
+                             for line in block.replace("\\\n", " ").splitlines())
+                if argv[:1] == ["minimapred"]]
+    bad = []
+    for argv in commands:
+        try:
+            cli.build_parser().parse_args(argv[1:])
+        except SystemExit:
+            bad.append(shlex.join(argv))
+    assert bad == []
+    # every subcommand has an example
+    assert {tuple(argv[1:3]) for argv in commands} == {
+        ("dfs", "put"), ("dfs", "ls"), ("dfs", "get"), ("dfs", "cat"),
+        ("job", "run"), ("bench", "run"), ("bench", "report")}
