@@ -124,6 +124,8 @@ def build_parser() -> argparse.ArgumentParser:
 def cmd_dfs(args) -> int:
     root = _store_root(args)
     if args.dfs_command == "put":
+        with open(args.local_file, "rb") as f:  # first, so a bad path makes no store
+            data = f.read()
         # flags left out keep an existing store's config; open_disk rejects
         # flags that contradict it
         try:
@@ -133,8 +135,7 @@ def cmd_dfs(args) -> int:
         cluster = Cluster.open_disk(root, dataclasses.replace(config, **_given(
             num_nodes=args.nodes, chunk_size=args.chunk_size,
             replication=args.replication, seed=args.seed)))
-        with open(args.local_file, "rb") as f:
-            meta = cluster.put_file(args.dfs_path, f.read())
+        meta = cluster.put_file(args.dfs_path, data)
         print(f"stored {meta.path} ({meta.size} bytes, {len(meta.chunks)} chunks)")
         return 0
     cluster = Cluster.open_disk(root)

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from minimapred import InvalidConfig, ReportError, bench, register
+from minimapred import Cluster, InvalidConfig, ReportError, bench, register
 from minimapred.bench import (
     CSV_COLUMNS,
     BenchMatrix,
@@ -50,6 +50,12 @@ def test_token_lines_bounded_line_length():
     assert all(len(line) <= 4096 for line in oracles.split_lines(data))
 
 
+@pytest.mark.parametrize("seed", [1, 7, 42])
+def test_uservisits_input_near_requested_size(seed):
+    for size in (1 << 20, 4 << 20):
+        assert abs(len(bench.input_bytes("uservisits", size, seed)) / size - 1) <= 0.02
+
+
 def test_generate_tokens_into_dfs(small_cluster):
     meta = small_cluster.put_file("tok", token_lines(1000, vocab_size=10, seed=1))
     assert small_cluster.get_file("tok") == token_lines(1000, 10, 1)
@@ -85,16 +91,54 @@ def test_matrix_cardinality(tmp_path):
     data_len = len(token_lines(4096, 10_000, 13))
     chunks = -(-data_len // 1024)
     assert all(r.map_tasks == chunks and r.reduce_tasks == 2 for r in rows)
+    assert list(tmp_path.iterdir()) == []
 
 
-def test_matrix_alternates_worker_counts_within_a_size(monkeypatch):
-    # a burst of host load then hits every worker count, not one side of a ratio
-    monkeypatch.setattr(bench, "input_bytes", lambda job, size, seed: b"")
+def test_matrix_alternates_worker_counts_within_a_size(monkeypatch, tmp_path):
+    # a burst of host load then hits every size and worker count, not one
+    # side of a ratio
     monkeypatch.setattr(bench, "_run_cell",
-                        lambda matrix, size, data, workers, rep, parent: (size, rep, workers))
-    rows = run_matrix(tiny_matrix(sizes=(10, 20), worker_counts=(1, 4), repetitions=2))
-    assert rows == [(10, 0, 1), (10, 0, 4), (10, 1, 1), (10, 1, 4),
-                    (20, 0, 1), (20, 0, 4), (20, 1, 1), (20, 1, 4)]
+                        lambda cluster, matrix, size, map_tasks, workers, rep:
+                        (rep, size, workers))
+    rows = run_matrix(tiny_matrix(sizes=(10, 20), worker_counts=(1, 4), repetitions=2),
+                      store_parent=str(tmp_path))
+    assert rows == [(0, 10, 1), (0, 10, 4), (0, 20, 1), (0, 20, 4),
+                    (1, 10, 1), (1, 10, 4), (1, 20, 1), (1, 20, 4)]
+
+
+def test_matrix_stores_each_size_once(monkeypatch, tmp_path):
+    inputs = []
+    put_file = Cluster.put_file
+
+    def counting_put_file(self, path, data, overwrite=False):
+        if path.startswith("bench/input"):
+            inputs.append(path)
+        return put_file(self, path, data, overwrite)
+
+    monkeypatch.setattr(Cluster, "put_file", counting_put_file)
+    rows = run_matrix(tiny_matrix(sizes=(4096, 8192), repetitions=2),
+                      store_parent=str(tmp_path))
+    assert len(rows) == 8 and not any(r.failed for r in rows)
+    assert inputs == ["bench/input-4096", "bench/input-8192"]
+
+
+def test_matrix_repeated_size_gets_a_row_per_entry(tmp_path):
+    rows = run_matrix(tiny_matrix(sizes=(4096, 4096)), store_parent=str(tmp_path))
+    assert [(r.size_bytes, r.workers) for r in rows] == [
+        (4096, 1), (4096, 2), (4096, 1), (4096, 2)]
+    assert not any(r.failed for r in rows)
+
+
+def test_matrix_store_removed_when_input_generation_raises(monkeypatch, tmp_path):
+    def input_bytes(job, size, seed):
+        if size == 8192:
+            raise RuntimeError("synthetic generator failure")
+        return token_lines(size, seed=seed)
+
+    monkeypatch.setattr(bench, "input_bytes", input_bytes)
+    with pytest.raises(RuntimeError, match="synthetic"):
+        run_matrix(tiny_matrix(sizes=(4096, 8192)), store_parent=str(tmp_path))
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_matrix_csv_schema_and_roundtrip(tmp_path):
@@ -131,6 +175,7 @@ def test_failed_job_recorded_matrix_continues(tmp_path):
     rows = run_matrix(tiny_matrix(job_id="failjob"), store_parent=str(tmp_path))
     assert len(rows) == 2
     assert all(r.failed for r in rows)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_matrix_validation():

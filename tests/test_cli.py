@@ -406,8 +406,11 @@ def test_bench_flags_and_config_left_out_keep_matrix_defaults(tmp_path, monkeypa
 def test_local_path_that_is_a_directory_exits_2(tmp_path, capsys):
     src = tmp_path / "f"
     src.write_bytes(b"x")
-    assert run_cli("dfs", "put", str(tmp_path), "d") == 2
-    assert "error:" in capsys.readouterr().err
+    # an unreadable local path creates no store
+    for local, root in ((tmp_path / "missing", "fresh-a"), (tmp_path, "fresh-b")):
+        assert run_cli("dfs", "put", str(local), "d", "--store-root", str(tmp_path / root)) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / root).exists()
     assert run_cli("dfs", "put", str(src), "f") == 0
     assert run_cli("dfs", "get", "f", "--output", str(tmp_path)) == 2
     assert "error:" in capsys.readouterr().err

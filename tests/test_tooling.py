@@ -74,3 +74,29 @@ def test_readme_cli_commands_parse():
     assert {tuple(argv[1:3]) for argv in commands} == {
         ("dfs", "put"), ("dfs", "ls"), ("dfs", "get"), ("dfs", "cat"),
         ("job", "run"), ("bench", "run"), ("bench", "report")}
+
+
+def test_readme_bench_run_defaults_match_the_matrix(tmp_path, monkeypatch):
+    # the README's table tells a reader what a flag left out means
+    from minimapred import ReportError, bench, cli
+
+    with open(os.path.join(SRC, "..", "..", "README.md")) as f:
+        section = f.read().split("### Benchmark matrix", 1)[1].split("\n#", 1)[0]
+    table = re.findall(r"^\| `(--[\w-]+)` \| `([^`]+)`", section, re.M)
+    seen = []
+
+    def fake_run_matrix(matrix, **kwargs):
+        seen.append(matrix)
+        raise ReportError("not run")
+
+    monkeypatch.setattr(bench, "run_matrix", fake_run_matrix)
+    for flag, default in table:
+        assert cli.main(["bench", "run", flag, default, "--output", str(tmp_path)]) == 3
+    assert seen == [bench.BenchMatrix()] * len(table)
+
+    parser = cli.build_parser()
+    [bench_cmd] = [a for a in parser._actions if a.dest == "command"]
+    [run_cmd] = [a for a in bench_cmd.choices["bench"]._actions if a.dest == "bench_command"]
+    flags = {opt for a in run_cmd.choices["run"]._actions for opt in a.option_strings}
+    assert sorted(flag for flag, _ in table) == sorted(
+        flags - {"--output", "--full-sizes", "-h", "--help"})
