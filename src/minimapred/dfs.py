@@ -273,10 +273,18 @@ class DiskStore:
     def put_meta(self, meta: FileMeta) -> None:
         self._atomic_write(self._meta_path(meta.file_id), meta.to_json().encode())
 
+    def _read_meta(self, path: str) -> FileMeta:
+        """The catalog entry at ``path``; a garbled one raises InvalidConfig."""
+        with open(path, "rb") as f:
+            text = f.read()
+        try:
+            return FileMeta.from_json(text)
+        except (ValueError, KeyError, TypeError) as e:
+            raise InvalidConfig(f"unreadable catalog entry {path!r}: {e!r}") from None
+
     def get_meta_by_id(self, file_id: str) -> FileMeta | None:
         try:
-            with open(self._meta_path(file_id), "r") as f:
-                return FileMeta.from_json(f.read())
+            return self._read_meta(self._meta_path(file_id))
         except FileNotFoundError:
             return None
 
@@ -287,8 +295,7 @@ class DiskStore:
         metas = []
         for name in os.listdir(os.path.join(self.root, "meta")):
             if name.endswith(".json"):
-                with open(os.path.join(self.root, "meta", name), "r") as f:
-                    metas.append(FileMeta.from_json(f.read()))
+                metas.append(self._read_meta(os.path.join(self.root, "meta", name)))
         return sorted(metas, key=lambda m: m.path)
 
     # node-local data
@@ -528,12 +535,19 @@ class Cluster:
     # -- reducer output ----------------------------------------------------
 
     def write_output(self, output_dir: str, partition_index: int,
-                     pairs: list[tuple[bytes, bytes]]) -> str:
-        """Write one reducer's part file; rewrites from retried attempts
-        replace the previous content atomically."""
+                     pairs: Iterable[tuple[bytes, bytes]]) -> str:
+        """Write one reducer's part file from ``pairs``, any iterable of
+        (key, value), consumed once.
+
+        The part is built whole before it is stored, so ``pairs`` raising
+        leaves any part already at the path as it was. A rewrite, such as a
+        retried attempt's, is not atomic: ``put_file`` writes the new bytes
+        into the chunk files the old catalog entry lists, then replaces the
+        entry."""
         path = part_file_path(output_dir, partition_index)
-        data = b"".join(k + b"\t" + v + b"\n" for k, v in pairs)
-        self.put_file(path, data, overwrite=True)
+        part = io.BytesIO()  # not b"".join, which lists its argument first
+        part.writelines(k + b"\t" + v + b"\n" for k, v in pairs)
+        self.put_file(path, part.getvalue(), overwrite=True)
         return path
 
 

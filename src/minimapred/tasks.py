@@ -34,7 +34,6 @@ from .errors import NotFound, ShuffleSourceLost
 from .hashing import partition_for_key
 from .jobtypes import SPILL_PAIRS
 
-Pair = tuple[bytes, bytes]
 Group = tuple[bytes, list[bytes]]
 
 # A frame is cut once its groups' key and value bytes, plus 8 per value for
@@ -239,8 +238,10 @@ def run_reduce_task(
     output_path: str,
 ) -> str:
     """Merge this partition's runs, reduce each key group in key order, and
-    write the part file to the DFS; returns the part's path."""
-    out: list[Pair] = []
-    for key, values in group_by_key(shuffle_fetch(cluster, sources)):
-        out.extend(reducer(key, values))
-    return cluster.write_output(output_path, partition_index, out)
+    write the part file to the DFS; returns the part's path.
+
+    The reducer's pairs stream from the merge into ``write_output``, so the
+    task holds no list of its pairs or lines, only the part's bytes."""
+    groups = group_by_key(shuffle_fetch(cluster, sources))
+    pairs = (pair for key, values in groups for pair in reducer(key, values))
+    return cluster.write_output(output_path, partition_index, pairs)

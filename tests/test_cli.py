@@ -6,6 +6,7 @@ import pytest
 
 from minimapred import ReportError, bench, cli
 from minimapred.cli import main
+from minimapred.dfs import file_id_for
 
 import oracles
 from test_engine import random_tokens
@@ -237,6 +238,26 @@ def test_unreadable_cluster_config_exits_2(tmp_path, capsys, text):
     assert run_cli("dfs", "ls", "--store-root", str(store)) == 2
     err = capsys.readouterr().err
     assert "error: unreadable cluster config" in err and "cluster.json" in err
+
+
+@pytest.mark.parametrize("text", ['{"path": "in", "file_id"', "{}"],
+                         ids=["truncated", "empty-object"])
+@pytest.mark.parametrize("argv", [
+    ["dfs", "ls"],
+    ["dfs", "get", "in"],
+    ["job", "run", "wordcount", "--input", "in", "--output", "out"],
+], ids=["ls", "get", "job-run"])
+def test_garbled_catalog_entry_exits_2(tmp_path, capsys, argv, text):
+    src = tmp_path / "f"
+    src.write_bytes(b"a b\n")
+    assert run_cli("dfs", "put", str(src), "in") == 0
+    entry = tmp_path / "minimapred_store" / "meta" / f"{file_id_for('in')}.json"
+    entry.write_text(text)
+    capsys.readouterr()
+    assert run_cli(*argv) == 2
+    err = capsys.readouterr().err
+    assert "error: unreadable catalog entry" in err and entry.name in err
+    assert "Traceback" not in err
 
 
 def test_bench_run_minimal_matrix(tmp_path, capsys):

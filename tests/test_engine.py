@@ -4,6 +4,7 @@ import io
 import itertools
 import os
 import random
+import tracemalloc
 from dataclasses import replace
 from unittest import mock
 
@@ -15,6 +16,7 @@ from minimapred import (
     ClusterConfig,
     InputSplit,
     InvalidConfig,
+    JobFailed,
     JobReport,
     JobSpec,
     RunOptions,
@@ -650,6 +652,51 @@ def test_reduce_task_writes_part(small_cluster):
 def test_reduce_task_zero_groups_empty_part(small_cluster):
     part = run_reduce_task(small_cluster, 1, wordcount_reduce, [], "out")
     assert small_cluster.get_file("out/part-r-00001") == b""
+
+
+@pytest.mark.parametrize("keys", [50_000, 200_000])
+def test_reduce_task_peak_memory_is_a_small_multiple_of_its_part(keys):
+    # a reduce task holds no list of its pairs or lines, only the part's
+    # bytes, so its traced peak does not grow with the key count faster
+    # than the part does
+    c = Cluster(ClusterConfig(num_nodes=1, replication=1))
+    _put_run(c, 0, "r", ((b"%08d" % i, [b"1"]) for i in range(keys)))
+    tracemalloc.start()
+    try:
+        part = run_reduce_task(c, 0, wordcount_reduce, [(0, "map-0", 0, ("r",))], "out")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = c.meta(part).size
+    assert size == 11 * keys
+    assert peak <= 3 * size, f"peak {peak} bytes is {peak / size:.1f}x the part"
+
+
+def _reduce_failing_at_c(key, values):
+    if key == b"c":
+        raise RuntimeError("reducer failed at its third key")
+    return wordcount_reduce(key, values)
+
+
+register("failing_at_c.reduce", _reduce_failing_at_c)
+
+
+@pytest.mark.parametrize("store", ["memory", "disk"])
+def test_failed_reducer_leaves_the_part_at_its_path_as_it_was(tmp_path, store):
+    config = ClusterConfig(num_nodes=4, chunk_size=64, replication=2, seed=7)
+    c = (Cluster(config) if store == "memory"
+         else Cluster.open_disk(str(tmp_path / "store"), config))
+    c.put_file("in", random_tokens(3))
+    submit_job(c, wc_spec(reducers=1), RunOptions(executor="serial"))
+    part = "out/part-r-00000"
+    old_bytes, old_meta = c.get_file(part), c.meta(part)
+    c.put_file("in2", b"a b c d\n" * 20)
+    spec = replace(wc_spec(reducers=1, job_id="wc2"), input_path="in2",
+                   reducer_id="failing_at_c.reduce")
+    with pytest.raises(JobFailed):
+        submit_job(c, spec, RunOptions(executor="serial"))
+    assert c.get_file(part) == old_bytes
+    assert c.meta(part) == old_meta
 
 
 # ---------------------------------------------------------------------------

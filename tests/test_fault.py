@@ -423,19 +423,22 @@ def test_output_equivalence_under_fault_plans(specs):
 def test_completed_reduce_never_reverts():
     data = random_tokens(5, n=400)
     # replicas are placed on consecutive nodes, so multi-node plans kill
-    # opposite nodes to keep one live replica of every chunk
-    plans = [["0:1"], ["2:4"], ["1:2", "3:after:map-0"]]
+    # opposite nodes to keep one live replica of every chunk; only the last
+    # plan kills a node after a reduce has completed
+    plans = [["0:1"], ["2:4"], ["1:2", "3:after:map-0"], ["2:after:reduce-0"]]
     for specs in plans:
         _, res = _run(plan=FailurePlan.parse(specs), data=data)
         assert res.report.re_executed_completed_reduces == 0
         completed_at = {}
         for i, e in enumerate(res.events):
             if e["event"] == "complete" and e["task"].startswith("reduce-"):
-                completed_at[e["task"]] = i
+                completed_at.setdefault(e["task"], i)
         for i, e in enumerate(res.events):
             if e["event"] == "dispatch" and e["task"] in completed_at:
                 assert i < completed_at[e["task"]], (
                     f"{e['task']} dispatched after completion")
+    deaths = [i for i, e in enumerate(res.events) if e["event"] == "node_dead"]
+    assert completed_at["reduce-0"] < deaths[0]
 
 
 def test_losing_all_replicas_fails_job():

@@ -44,6 +44,18 @@ def test_public_api_is_pinned():
     assert [n for n in minimapred.__all__ if not hasattr(minimapred, n)] == []
 
 
+def test_both_stores_define_the_same_public_names():
+    # the engine and perfbench's tracer call store methods by name on
+    # either class, so a name on one store alone breaks the other
+    from minimapred.dfs import DiskStore, MemoryStore
+
+    def public(cls):
+        return sorted(n for n in vars(cls) if not n.startswith("_"))
+
+    assert public(DiskStore) == public(MemoryStore)
+    assert len(public(MemoryStore)) == 14
+
+
 def test_every_built_in_mapper_has_its_split_form():
     # a built-in job left on registry.per_record runs a Python call per record
     from minimapred import jobs
