@@ -21,7 +21,7 @@ import uuid
 from dataclasses import asdict, dataclass
 from functools import partial
 from itertools import accumulate, chain
-from typing import Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .errors import AlreadyExists, ChunkUnavailable, InvalidConfig, NotFound, require_ints
 from .hashing import placement_hash
@@ -54,6 +54,9 @@ class ClusterConfig:
 
 @dataclass(frozen=True)
 class Chunk:
+    """One chunk of a file; ``file_id`` names its replica files, and after
+    an overwrite it differs from the entry's ``file_id``."""
+
     file_id: str
     index: int
     offset: int
@@ -131,6 +134,13 @@ def file_id_for(path: str) -> str:
 # Backing stores
 
 
+class _LocalSink(NamedTuple):
+    """A node-local object being written; only its ``close`` publishes it."""
+
+    write: Callable[[bytes], object]
+    close: Callable[[], None]
+
+
 class MemoryStore:
     """In-process store; usable only with serial/thread execution."""
 
@@ -181,16 +191,14 @@ class MemoryStore:
         return sorted(self._metas.values(), key=lambda m: m.path)
 
     # node-local data (map output runs); not replicated
-    def open_local_write(self, node: int, name: str):
-        store = self
+    def open_local_write(self, node: int, name: str) -> _LocalSink:
+        buf = io.BytesIO()
 
-        class _Sink(io.BytesIO):
-            def close(inner):
-                with store._lock:
-                    store._local[(node, name)] = inner.getvalue()
-                super().close()
+        def publish():
+            with self._lock:
+                self._local[(node, name)] = buf.getvalue()  # buf's bytes, no copy
 
-        return _Sink()
+        return _LocalSink(buf.write, publish)
 
     def open_local_read(self, node: int, name: str):
         try:
@@ -211,7 +219,7 @@ class MemoryStore:
 
 
 class DiskStore:
-    """On-disk store; layout is ``<root>/node<N>/<file_id>.<chunk_index>``
+    """On-disk store; layout is ``<root>/node<N>/<chunk file_id>.<k>``
     for chunk replicas, ``<root>/meta/<file_id>.json`` for the catalog, and
     ``<root>/node<N>/local/...`` for node-local intermediate data. A
     ``<root>/node<N>/DEAD`` marker records the node's death for every
@@ -302,19 +310,17 @@ class DiskStore:
     def _local_path(self, node: int, name: str) -> str:
         return os.path.join(self._node_dir(node), "local", *name.split("/"))
 
-    def open_local_write(self, node: int, name: str):
+    def open_local_write(self, node: int, name: str) -> _LocalSink:
         path = self._local_path(node, name)
         os.makedirs(os.path.dirname(path), exist_ok=True)
         tmp = f"{path}.tmp{uuid.uuid4().hex}"
         f = open(tmp, "wb")
-        orig_close = f.close
 
-        def close():
-            orig_close()
+        def publish():
+            f.close()
             os.replace(tmp, path)
 
-        f.close = close  # type: ignore[method-assign]
-        return f
+        return _LocalSink(f.write, publish)
 
     def open_local_read(self, node: int, name: str):
         try:
@@ -398,7 +404,9 @@ class Cluster:
     # -- file operations ---------------------------------------------------
 
     def put_file(self, path: str, data: bytes, overwrite: bool = False) -> FileMeta:
-        """Store ``data`` under ``path`` as replicated equal-sized chunks."""
+        """Store ``data`` under ``path`` as replicated equal-sized chunks; an
+        overwrite writes fresh chunk ids and deletes the old entry's replicas
+        after its ``put_meta``, so a failure leaves the old file whole."""
         old = self.store.get_meta(path)
         if old is not None and not overwrite:
             raise AlreadyExists(f"path {path!r} is already stored")
@@ -406,6 +414,7 @@ class Cluster:
         cs = self.config.chunk_size
         live = self.live_nodes()
         fid = file_id_for(path)
+        cid = fid if old is None else f"{fid}-{uuid.uuid4().hex[:8]}"
         h = placement_hash(self.config.seed, path)
         n_chunks = (len(data) + cs - 1) // cs
         chunks = []
@@ -417,17 +426,13 @@ class Cluster:
             replicas = tuple(live[(start + j) % len(live)] for j in range(replication))
             piece = data[i * cs : (i + 1) * cs]
             for node in replicas:
-                self.store.write_chunk(node, fid, i, piece)
-            chunks.append(Chunk(fid, i, i * cs, len(piece), replicas))
+                self.store.write_chunk(node, cid, i, piece)
+            chunks.append(Chunk(cid, i, i * cs, len(piece), replicas))
         meta = FileMeta(path, fid, len(data), tuple(chunks))
         self.store.put_meta(meta)
-        if old is not None:
-            # drop replicas the new layout no longer references
-            kept = {(c.index, n) for c in chunks for n in c.replicas}
-            for c in old.chunks:
-                for node in c.replicas:
-                    if (c.index, node) not in kept:
-                        self.store.delete_chunk(node, fid, c.index)
+        for c in old.chunks if old is not None else ():
+            for node in c.replicas:
+                self.store.delete_chunk(node, c.file_id, c.index)
         return meta
 
     def meta(self, path: str) -> FileMeta:
@@ -539,11 +544,8 @@ class Cluster:
         """Write one reducer's part file from ``pairs``, any iterable of
         (key, value), consumed once.
 
-        The part is built whole before it is stored, so ``pairs`` raising
-        leaves any part already at the path as it was. A rewrite, such as a
-        retried attempt's, is not atomic: ``put_file`` writes the new bytes
-        into the chunk files the old catalog entry lists, then replaces the
-        entry."""
+        The part is built whole, and ``put_file`` publishes it whole, so a
+        failure leaves any part already at the path as it was."""
         path = part_file_path(output_dir, partition_index)
         part = io.BytesIO()  # not b"".join, which lists its argument first
         part.writelines(k + b"\t" + v + b"\n" for k, v in pairs)

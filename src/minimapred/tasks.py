@@ -104,13 +104,13 @@ def run_map_task(
 
     ``mapper(blocks, combiner)`` is called once, on ``read_split``'s
     blocks, and the buffer takes each key group it yields, values per key
-    in emission order. One writer
-    sorts and partitions the buffer and writes it out as runs: at
-    ``spill_pairs`` buffered values, checked after each group, as one spill
-    run ``<run>.spill<i>`` per non-empty partition, and at the end as the
-    final run ``run_name(...)`` of every partition, empty or not. The
-    combiner, if any, is applied once per key at each write. Memory is the
-    split form's own state plus the spill buffer.
+    in emission order. One writer sorts and partitions the buffer and
+    writes it out as runs: at ``spill_pairs`` buffered values, checked
+    after each group, as one spill run ``<run>.spill<i>`` per non-empty
+    partition, and at the end as the final run ``run_name(...)`` of every
+    partition, empty or not. The combiner, if any, is applied once per key
+    at each write; a run is published only once written whole. Memory is
+    the split form's own state plus the spill buffer.
     Returns (each partition's run names on ``node``, skipped records), the
     skip count being the split form's return value or 0; the names are in
     spill order, which is emission order, final run last.
@@ -141,11 +141,9 @@ def run_map_task(
             if not final:
                 name = f"{name}.spill{len(runs[p])}"
             sink = store.open_local_write(node, name)
-            try:
-                write_run(sink, ((k, d[k]) for k in ks) if combiner is None else
-                          ((ck, [cv]) for k in ks for ck, cv in combiner(k, d[k])))
-            finally:
-                sink.close()
+            write_run(sink, ((k, d[k]) for k in ks) if combiner is None else
+                      ((ck, [cv]) for k in ks for ck, cv in combiner(k, d[k])))
+            sink.close()
             runs[p] += (name,)
 
     groups = iter(mapper(cluster.read_split(split), combiner))

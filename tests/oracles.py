@@ -8,6 +8,7 @@ engine is meaningful.
 from __future__ import annotations
 
 import math
+import os
 from collections import Counter
 from dataclasses import dataclass
 
@@ -88,6 +89,31 @@ def parse_parts(cluster, part_paths: list[str]) -> dict[bytes, bytes]:
             assert k not in out, f"key {k!r} appears in more than one part"
             out[k] = v
     return out
+
+
+def store_problems(cluster) -> list[tuple[str, int, str, int]]:
+    """What breaks the store's one write rule, as sorted (problem, node,
+    chunk file_id, chunk index) tuples: ``"missing"`` for a replica the
+    catalog lists that is not stored, ``"unlisted"`` for a stored chunk that
+    no catalog entry lists. The stored chunks are read from the backend
+    itself: the memory store's chunk keys, or the disk store's
+    ``node<N>/<chunk file_id>.<k>`` files."""
+    listed = {(node, ch.file_id, ch.index) for meta in cluster.list_files()
+              for ch in meta.chunks for node in ch.replicas}
+    store = cluster.store
+    if store.kind == "memory":
+        stored = set(store._chunks)
+    else:
+        stored = set()
+        for node_dir in os.listdir(store.root):
+            if not node_dir.startswith("node"):
+                continue
+            for name in os.listdir(os.path.join(store.root, node_dir)):
+                if name not in ("DEAD", "local"):
+                    file_id, _, index = name.rpartition(".")
+                    stored.add((int(node_dir[4:]), file_id, int(index)))
+    return sorted([("missing", *r) for r in listed - stored]
+                  + [("unlisted", *r) for r in stored - listed])
 
 
 _FIELD_LIMITS = (16, 100, None, 64, 32, None)  # max chars per column

@@ -74,6 +74,7 @@ def _wc_spec(job_id, out, reducers):
     )
 
 
+@pytest.mark.slow
 def test_criterion_1_wordcount_oracle_equivalence(tokens_64mb, tmp_path):
     with _budget(1, 120, "wordcount 64MB == oracle for R in {1,2,4} x workers in {1,4}"):
         expected = {k: str(v).encode() for k, v in Counter(tokens_64mb.split()).items()}
@@ -173,6 +174,7 @@ def test_criterion_4_parallel_speedup(tmp_path):
         assert entry.value >= 2.5, f"speedup(4 workers) = {entry.value:.2f}"
 
 
+@pytest.mark.slow
 def test_criterion_5_near_linear_size_scaling(tmp_path):
     with _budget(5, 600, "1 worker: elapsed(256MB)/elapsed(64MB) in [3.0, 6.0]"):
         matrix = BenchMatrix(
@@ -194,6 +196,7 @@ def test_criterion_5_near_linear_size_scaling(tmp_path):
         assert 3.0 <= ratio <= 6.0, f"scaling ratio = {ratio:.2f}"
 
 
+@pytest.mark.slow
 def test_criterion_6_split_integrity():
     with _budget(6, 60, "200 random files x random chunk sizes: exact record recovery"):
         rng = random.Random(20260809)

@@ -344,6 +344,7 @@ def test_plot_data_series_and_header(tmp_path):
     assert open(path).read() == open(str(tmp_path / "plot2.csv")).read()
 
 
+@pytest.mark.slow
 def test_more_workers_faster_at_scale(tmp_path):
     # direction of effect only; the strict 4-worker speedup bound is an
     # acceptance criterion gated on host core count

@@ -19,6 +19,7 @@ from minimapred import (
     JobFailed,
     JobReport,
     JobSpec,
+    NotFound,
     RunOptions,
     TaskState,
     UnknownFunction,
@@ -33,6 +34,7 @@ from minimapred.tasks import (
     group_by_key,
     iter_run,
     run_map_task,
+    run_name,
     run_reduce_task,
     shuffle_fetch,
     write_run,
@@ -257,6 +259,21 @@ def test_non_bytes_combiner_key_fails_at_the_run_write(key):
         run_map_task(c, "j", "map-0", 0, 0, split, per_record(wordcount_map),
                      lambda k, vs: [(key, b"1")], 1)
     assert exc.traceback[-1].name == "write_run"
+
+
+@pytest.mark.parametrize("kind", ["memory", "disk"])
+def test_map_task_whose_combiner_raises_publishes_no_run(kind, tmp_path):
+    config = ClusterConfig(num_nodes=2, chunk_size=8192, replication=1, seed=3)
+    c = Cluster(config) if kind == "memory" else Cluster.open_disk(str(tmp_path / "s"), config)
+    [split] = c.make_splits(c.put_file("in", b"alpha beta"))
+
+    def combiner(key, values):
+        raise RuntimeError("combiner failed")
+
+    with pytest.raises(RuntimeError, match="combiner failed"):
+        run_map_task(c, "j", "map-0", 0, 0, split, per_record(wordcount_map), combiner, 1)
+    with pytest.raises(NotFound):
+        c.store.open_local_read(0, run_name("j", "map-0", 0, 0))
 
 
 def _single_line_cluster(line: bytes):

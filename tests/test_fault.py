@@ -32,6 +32,7 @@ from minimapred.tasks import run_map_task, shuffle_fetch
 from minimapred.jobs import wordcount_map
 from minimapred.registry import per_record
 
+import oracles
 from test_engine import random_tokens, wc_spec
 
 
@@ -389,6 +390,16 @@ def test_map_loss_while_reducing_logs_the_return_to_mapping():
                 if e["event"] == "phase" and e["phase"] == "mapping" and i > dead)
     assert any(e["event"] == "reexecute_completed_map"
                for e in res.events[dead:back])
+
+
+def test_restarted_reduce_rewrite_leaves_only_listed_chunks_on_disk(tmp_path):
+    c = Cluster.open_disk(str(tmp_path / "s"), _fresh_cluster().config)
+    c.put_file("in", random_tokens(31, n=300))
+    res = run_job(c, wc_spec(), RunOptions(executor="serial"),
+                  FailurePlan.parse(["2:after:reduce-0"]))
+    assert res.report.phase == "done"
+    assert any(e["event"] == "restart_reduce" for e in res.events)
+    assert oracles.store_problems(c) == []
 
 
 def test_tick_kill_during_reduce_phase_shuffle_lost_observed():
