@@ -135,7 +135,7 @@ def file_id_for(path: str) -> str:
 
 
 class _LocalSink(NamedTuple):
-    """A node-local object being written; only its ``close`` publishes it."""
+    """A node-local object built in memory; only its ``close`` publishes it."""
 
     write: Callable[[bytes], object]
     close: Callable[[], None]
@@ -221,7 +221,8 @@ class MemoryStore:
 class DiskStore:
     """On-disk store; layout is ``<root>/node<N>/<chunk file_id>.<k>``
     for chunk replicas, ``<root>/meta/<file_id>.json`` for the catalog, and
-    ``<root>/node<N>/local/...`` for node-local intermediate data. A
+    ``<root>/node<N>/local/...`` for node-local intermediate data. Each file
+    is published whole by ``_atomic_write``, a run when its sink closes. A
     ``<root>/node<N>/DEAD`` marker records the node's death for every
     handle, including those of concurrently running worker processes; the
     store itself still serves the node's bytes, and ``Cluster`` and
@@ -237,6 +238,8 @@ class DiskStore:
         return os.path.join(self.root, f"node{node}")
 
     def _atomic_write(self, path: str, data: bytes) -> None:
+        """Publish ``data`` at ``path`` whole, by rename; makes its directory."""
+        os.makedirs(os.path.dirname(path), exist_ok=True)
         tmp = f"{path}.tmp{uuid.uuid4().hex}"  # unique per writer, not per process
         with open(tmp, "wb") as f:
             f.write(data)
@@ -244,10 +247,7 @@ class DiskStore:
 
     # liveness
     def mark_dead(self, node: int) -> None:
-        d = self._node_dir(node)
-        os.makedirs(d, exist_ok=True)
-        with open(os.path.join(d, "DEAD"), "w"):
-            pass
+        self._atomic_write(os.path.join(self._node_dir(node), "DEAD"), b"")
 
     def is_dead(self, node: int) -> bool:
         return os.path.exists(os.path.join(self._node_dir(node), "DEAD"))
@@ -257,7 +257,6 @@ class DiskStore:
         return os.path.join(self._node_dir(node), f"{file_id}.{index}")
 
     def write_chunk(self, node: int, file_id: str, index: int, data: bytes) -> None:
-        os.makedirs(self._node_dir(node), exist_ok=True)
         self._atomic_write(self._chunk_path(node, file_id, index), data)
 
     def read_chunk(self, node: int, file_id: str, index: int,
@@ -312,15 +311,8 @@ class DiskStore:
 
     def open_local_write(self, node: int, name: str) -> _LocalSink:
         path = self._local_path(node, name)
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        tmp = f"{path}.tmp{uuid.uuid4().hex}"
-        f = open(tmp, "wb")
-
-        def publish():
-            f.close()
-            os.replace(tmp, path)
-
-        return _LocalSink(f.write, publish)
+        buf = io.BytesIO()
+        return _LocalSink(buf.write, lambda: self._atomic_write(path, buf.getvalue()))
 
     def open_local_read(self, node: int, name: str):
         try:

@@ -110,13 +110,13 @@ def run_map_task(
     partition, and at the end as the final run ``run_name(...)`` of every
     partition, empty or not. The combiner, if any, is applied once per key
     at each write; a run is published only once written whole. Memory is
-    the split form's own state plus the spill buffer.
+    the split form's own state plus the spill buffer, plus the bytes of the
+    run being written.
     Returns (each partition's run names on ``node``, skipped records), the
     skip count being the split form's return value or 0; the names are in
     spill order, which is emission order, final run last.
     """
     store = cluster.store
-    part_cache: dict[bytes, int] = {}
     buffer: dict[bytes, list[bytes]] = {}  # key -> values in emission order
     runs: list[tuple[str, ...]] = [() for _ in range(num_reducers)]
     buffered = 0
@@ -130,10 +130,7 @@ def run_map_task(
         d, buffer = buffer, {}
         keys: list[list[bytes]] = [[] for _ in range(num_reducers)]
         for k in sorted(d):
-            p = part_cache.get(k)
-            if p is None:
-                p = part_cache[k] = partition_for_key(k, num_reducers)
-            keys[p].append(k)
+            keys[partition_for_key(k, num_reducers)].append(k)
         for p, ks in enumerate(keys):
             if not (ks or final):
                 continue

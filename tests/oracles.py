@@ -95,12 +95,15 @@ def store_problems(cluster) -> list[tuple[str, int, str, int]]:
     """What breaks the store's one write rule, as sorted (problem, node,
     chunk file_id, chunk index) tuples: ``"missing"`` for a replica the
     catalog lists that is not stored, ``"unlisted"`` for a stored chunk that
-    no catalog entry lists. The stored chunks are read from the backend
-    itself: the memory store's chunk keys, or the disk store's
+    no catalog entry lists, and ``"stray"`` for any other file in a node
+    directory, such as the temp file of a failed write, with the file's name
+    in place of the chunk id and index -1. The stored chunks are read from
+    the backend itself: the memory store's chunk keys, or the disk store's
     ``node<N>/<chunk file_id>.<k>`` files."""
     listed = {(node, ch.file_id, ch.index) for meta in cluster.list_files()
               for ch in meta.chunks for node in ch.replicas}
     store = cluster.store
+    strays = []
     if store.kind == "memory":
         stored = set(store._chunks)
     else:
@@ -108,12 +111,37 @@ def store_problems(cluster) -> list[tuple[str, int, str, int]]:
         for node_dir in os.listdir(store.root):
             if not node_dir.startswith("node"):
                 continue
+            node = int(node_dir[4:])
             for name in os.listdir(os.path.join(store.root, node_dir)):
-                if name not in ("DEAD", "local"):
-                    file_id, _, index = name.rpartition(".")
-                    stored.add((int(node_dir[4:]), file_id, int(index)))
+                if name in ("DEAD", "local"):
+                    continue
+                file_id, _, index = name.rpartition(".")
+                if index.isdigit():
+                    stored.add((node, file_id, int(index)))
+                else:
+                    strays.append(("stray", node, name, -1))
     return sorted([("missing", *r) for r in listed - stored]
-                  + [("unlisted", *r) for r in stored - listed])
+                  + [("unlisted", *r) for r in stored - listed] + strays)
+
+
+def local_leftovers(cluster) -> list[tuple[int, str]]:
+    """The node-local objects still stored, as sorted (node, name) pairs:
+    the memory store's local keys, or every file under the disk store's
+    ``node<N>/local/``, temp files included, named by its path below
+    ``local/`` with ``/`` separators."""
+    store = cluster.store
+    if store.kind == "memory":
+        return sorted(store._local)
+    found = []
+    for node_dir in os.listdir(store.root):
+        if not node_dir.startswith("node"):
+            continue
+        local = os.path.join(store.root, node_dir, "local")
+        for dirpath, _, names in os.walk(local):
+            for name in names:
+                rel = os.path.relpath(os.path.join(dirpath, name), local)
+                found.append((int(node_dir[4:]), rel.replace(os.sep, "/")))
+    return sorted(found)
 
 
 _FIELD_LIMITS = (16, 100, None, 64, 32, None)  # max chars per column

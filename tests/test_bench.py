@@ -1,6 +1,7 @@
 """Benchmark harness: input generation, matrix runs, ratio reports."""
 
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -331,7 +332,7 @@ def test_plot_data_series_and_header(tmp_path):
     path = str(tmp_path / "plot.csv")
     emit_plot_data(rows, path)
     # 2 series x 3 sizes; the median collapses the repetitions
-    assert open(path).read() == (
+    assert Path(path).read_text() == (
         "job,workers,size_bytes,elapsed_seconds\n"
         "wordcount,1,1000,2.000000\n"
         "wordcount,1,2000,3.000000\n"
@@ -341,7 +342,7 @@ def test_plot_data_series_and_header(tmp_path):
         "wordcount,2,3000,5.000000\n"
     )
     emit_plot_data(rows, str(tmp_path / "plot2.csv"))
-    assert open(path).read() == open(str(tmp_path / "plot2.csv")).read()
+    assert Path(path).read_text() == (tmp_path / "plot2.csv").read_text()
 
 
 @pytest.mark.slow

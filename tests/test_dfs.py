@@ -447,6 +447,22 @@ def test_overwrite_interleaved_with_a_death_and_a_whole_overwrite(kind, tmp_path
     assert c.get_file("f") == b"b" * 40
 
 
+def test_store_problems_reports_the_temp_file_of_a_failed_write(tmp_path, monkeypatch):
+    c = _store_cluster("disk", tmp_path / "s", replication=1)
+
+    def replace_failing(src, dst):
+        raise OSError("rename failed")
+
+    monkeypatch.setattr(os, "replace", replace_failing)
+    with pytest.raises(OSError, match="rename failed"):
+        c.put_file("f", b"data")
+    monkeypatch.undo()
+    [(problem, node, name, index)] = oracles.store_problems(c)
+    assert (problem, index) == ("stray", -1)
+    assert name.startswith(file_id_for("f") + ".0.tmp")
+    assert os.path.isfile(tmp_path / "s" / f"node{node}" / name)
+
+
 _STEPS = st.tuples(st.sampled_from(["put", "overwrite", "death", "failed overwrite"]),
                    st.integers(0, 2), st.binary(max_size=40), st.integers(0, 5))
 
@@ -567,13 +583,14 @@ def test_delete_local_tree_spares_sibling_prefixes(kind, tmp_path):
 
 @pytest.mark.parametrize("kind", ["memory", "disk"])
 def test_local_sink_dropped_without_close_publishes_nothing(kind, tmp_path):
-    store = MemoryStore() if kind == "memory" else DiskStore(str(tmp_path / "s"))
-    sink = store.open_local_write(0, "runs/j/map-0.0.0")
+    c = _store_cluster(kind, tmp_path / "s")
+    sink = c.store.open_local_write(0, "runs/j/map-0.0.0")
     sink.write(b"partial")
     del sink
     gc.collect()
     with pytest.raises(NotFound):
-        store.open_local_read(0, "runs/j/map-0.0.0")
+        c.store.open_local_read(0, "runs/j/map-0.0.0")
+    assert oracles.local_leftovers(c) == []
 
 
 def test_disk_local_writers_of_one_name_do_not_share_a_temp_file(tmp_path):

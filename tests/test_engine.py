@@ -274,6 +274,7 @@ def test_map_task_whose_combiner_raises_publishes_no_run(kind, tmp_path):
         run_map_task(c, "j", "map-0", 0, 0, split, per_record(wordcount_map), combiner, 1)
     with pytest.raises(NotFound):
         c.store.open_local_read(0, run_name("j", "map-0", 0, 0))
+    assert oracles.local_leftovers(c) == []
 
 
 def _single_line_cluster(line: bytes):
@@ -777,16 +778,18 @@ def test_same_seed_same_part_bytes():
 
 def test_output_identical_across_executors(tmp_path):
     data = random_tokens(13)
+    config = ClusterConfig(num_nodes=4, chunk_size=64, replication=2, seed=11)
     outputs = {}
-    for executor in ("serial", "threads", "processes"):
-        c = Cluster.open_disk(
-            str(tmp_path / executor),
-            ClusterConfig(num_nodes=4, chunk_size=64, replication=2, seed=11),
-        )
+    for kind, executor in [("disk", "serial"), ("disk", "threads"), ("disk", "processes"),
+                           ("memory", "serial"), ("memory", "threads")]:
+        c = (Cluster.open_disk(str(tmp_path / executor), config) if kind == "disk"
+             else Cluster(config))
         c.put_file("in", data)
         report = submit_job(c, wc_spec(), RunOptions(executor=executor))
-        outputs[executor] = [c.get_file(p) for p in report.parts]
-    assert outputs["serial"] == outputs["threads"] == outputs["processes"]
+        outputs[kind, executor] = [c.get_file(p) for p in report.parts]
+        # the job's cleanup leaves no run, spill or temp file on any node
+        assert oracles.local_leftovers(c) == [], (kind, executor)
+    assert all(o == outputs["disk", "serial"] for o in outputs.values())
 
 
 SPILL_CONFIG = ClusterConfig(num_nodes=3, chunk_size=2048, replication=2, seed=11)

@@ -400,6 +400,8 @@ def test_restarted_reduce_rewrite_leaves_only_listed_chunks_on_disk(tmp_path):
     assert res.report.phase == "done"
     assert any(e["event"] == "restart_reduce" for e in res.events)
     assert oracles.store_problems(c) == []
+    # the job's cleanup also reaches the runs left on the dead node
+    assert oracles.local_leftovers(c) == []
 
 
 def test_tick_kill_during_reduce_phase_shuffle_lost_observed():
