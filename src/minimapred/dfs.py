@@ -11,6 +11,7 @@ which is lost when a node dies, unlike replicated chunk data.
 from __future__ import annotations
 
 import bisect
+import contextlib
 import io
 import json
 import hashlib
@@ -238,12 +239,18 @@ class DiskStore:
         return os.path.join(self.root, f"node{node}")
 
     def _atomic_write(self, path: str, data: bytes) -> None:
-        """Publish ``data`` at ``path`` whole, by rename; makes its directory."""
+        """Publish ``data`` at ``path`` whole, by rename; makes its directory.
+        A write that fails removes its temp file before the error propagates."""
         os.makedirs(os.path.dirname(path), exist_ok=True)
         tmp = f"{path}.tmp{uuid.uuid4().hex}"  # unique per writer, not per process
-        with open(tmp, "wb") as f:
-            f.write(data)
-        os.replace(tmp, path)
+        try:
+            with open(tmp, "wb") as f:
+                f.write(data)
+            os.replace(tmp, path)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.remove(tmp)
+            raise
 
     # liveness
     def mark_dead(self, node: int) -> None:

@@ -6,10 +6,12 @@ value) byte pairs; reducers and combiners take (key, ordered value list) and
 return a list of output pairs. Both mappers also have a split form, which
 takes the split's whole iterator of (offset, bytes) blocks of lines and the
 job's combiner and yields (key, values) groups, under the contract in
-``registry``. Counts are serialized as decimal text, revenue sums as
-shortest round-trip decimals, so outputs are byte-reproducible. The summing
-reducer (also the combiner) counts an all-``b"1"`` value list, as a job
-without a combiner ships it, without parsing it.
+``registry``. Counts are serialized as decimal text. A visit's revenue
+crosses the shuffle as its field's own bytes, which the mapper has checked
+with ``float``; the reducer parses and sums them in shuffle order and writes
+the sum as a shortest round-trip decimal, so outputs are byte-reproducible.
+The summing reducer (also the combiner) counts an all-``b"1"`` value list,
+as a job without a combiner ships it, without parsing it.
 """
 
 from __future__ import annotations
@@ -85,7 +87,8 @@ def wordcount_split_map(
 
 
 def uservisits_map(offset: int, line: bytes) -> list[tuple[bytes, bytes]]:
-    """Emit (source IP, revenue) from a pipe-delimited visit record.
+    """Emit (source IP, revenue field bytes) from a pipe-delimited visit
+    record; the field is shipped as written, once ``float`` accepts it.
 
     Malformed lines (fewer than 3 fields, or a revenue column that is not a
     finite number) are skipped and counted rather than failing the job.
@@ -100,7 +103,7 @@ def uservisits_map(offset: int, line: bytes) -> list[tuple[bytes, bytes]]:
         raise SkipRecord("revenue does not parse") from None
     if not math.isfinite(revenue):
         raise SkipRecord("revenue is not finite")
-    return [(fields[0], repr(revenue).encode())]
+    return [(fields[0], fields[2])]
 
 
 def uservisits_split_map(
@@ -131,9 +134,9 @@ def uservisits_split_map(
                 continue
             vals = groups.get(fields[0])
             if vals is None:
-                groups[fields[0]] = [repr(revenue).encode()]
+                groups[fields[0]] = [fields[2]]
             else:
-                vals.append(repr(revenue).encode())
+                vals.append(fields[2])
             pending += 1
             if pending >= window:
                 yield from groups.items()
@@ -143,7 +146,9 @@ def uservisits_split_map(
 
 
 def uservisits_reduce(key: bytes, values: list[bytes]) -> list[tuple[bytes, bytes]]:
-    """Left-to-right sum over the (deterministic) shuffle order."""
+    """Left-to-right sum over the (deterministic) shuffle order. Not
+    ``sum()``: from Python 3.12 it adds floats with compensation, so the
+    part bytes would depend on the interpreter."""
     total = 0.0
     for v in values:
         total += float(v)

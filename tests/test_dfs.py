@@ -447,7 +447,9 @@ def test_overwrite_interleaved_with_a_death_and_a_whole_overwrite(kind, tmp_path
     assert c.get_file("f") == b"b" * 40
 
 
-def test_store_problems_reports_the_temp_file_of_a_failed_write(tmp_path, monkeypatch):
+@pytest.mark.parametrize("data", [b"data", b""], ids=["chunk", "meta"])
+def test_failed_write_leaves_no_temp_file(data, tmp_path, monkeypatch):
+    # b"data" fails in its one chunk write; b"" has no chunk, so its put_meta fails
     c = _store_cluster("disk", tmp_path / "s", replication=1)
 
     def replace_failing(src, dst):
@@ -455,12 +457,21 @@ def test_store_problems_reports_the_temp_file_of_a_failed_write(tmp_path, monkey
 
     monkeypatch.setattr(os, "replace", replace_failing)
     with pytest.raises(OSError, match="rename failed"):
-        c.put_file("f", b"data")
+        c.put_file("f", data)
     monkeypatch.undo()
-    [(problem, node, name, index)] = oracles.store_problems(c)
-    assert (problem, index) == ("stray", -1)
-    assert name.startswith(file_id_for("f") + ".0.tmp")
-    assert os.path.isfile(tmp_path / "s" / f"node{node}" / name)
+    assert oracles.store_problems(c) == []
+    assert c.list_files() == []
+    assert [str(p) for p in (tmp_path / "s").rglob("*.tmp*")] == []
+
+
+def test_store_problems_reports_a_stray_temp_file(tmp_path):
+    c = _store_cluster("disk", tmp_path / "s", replication=1)
+    c.put_file("f", b"data")
+    [chunk] = c.meta("f").chunks
+    [node] = chunk.replicas
+    name = f"{file_id_for('f')}.0.tmp{'0' * 32}"
+    (tmp_path / "s" / f"node{node}" / name).write_bytes(b"da")
+    assert oracles.store_problems(c) == [("stray", node, name, -1)]
 
 
 _STEPS = st.tuples(st.sampled_from(["put", "overwrite", "death", "failed overwrite"]),

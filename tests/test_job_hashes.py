@@ -102,6 +102,12 @@ def test_job_hashes_match_table(case, tmp_path):
     assert job_hashes(case, str(tmp_path / "store")) == expected
 
 
+def test_table_rows_are_the_cases():
+    # a stale row or a case without a row means the table was not regenerated
+    with open(TABLE) as f:
+        assert sorted(json.load(f)) == sorted(CASES)
+
+
 if __name__ == "__main__":
     import tempfile
 

@@ -135,7 +135,8 @@ def test_uservisits_map_paper_style_row():
 
 
 def test_uservisits_map_zero_revenue():
-    assert uservisits_map(0, b"a|b|0|c|d|0") == [(b"a", b"0.0")]
+    assert uservisits_map(0, b"a|b|0|c|d|0") == [(b"a", b"0")]
+    assert uservisits_reduce(b"a", [b"0"]) == [(b"a", b"0.0")]
 
 
 def test_uservisits_map_skips_short_rows():
@@ -200,6 +201,8 @@ def test_uservisits_reduce_sums_left_to_right():
     assert uservisits_reduce(b"10.0.0.1", [b"3.5", b"1.25"]) == [
         (b"10.0.0.1", repr(4.75).encode())]
     assert uservisits_reduce(b"k", [b"2.25"]) == [(b"k", b"2.25")]
+    # compensated summation, as sum() of floats does from Python 3.12, gives 1.0
+    assert uservisits_reduce(b"k", [b"1e16", b"1", b"-1e16"]) == [(b"k", b"0.0")]
 
 
 def test_user_visit_record_roundtrip():
@@ -276,6 +279,39 @@ def test_uservisits_pipeline_matches_oracle(small_cluster):
     assert got.keys() == expected.keys()
     for k, v in expected.items():
         assert got[k] == pytest.approx(v, rel=1e-9)
+
+
+# the record form alone, so jobs on this id run the per-record path
+register("uservisits_record.map", uservisits_map)
+
+# 3-field rows end in their revenue field, so a trailing \r is part of it
+_job_visit_line = st.builds(
+    lambda ip, rev, extra, end: ip + b"|dest|" + rev + extra + end,
+    st.sampled_from([b"10.0.0.1", b"10.0.0.2", b"10.9.9.9"]),
+    st.one_of(_revenue_texts, st.sampled_from([b"-0", b"007.10", b"1e3"])),
+    st.sampled_from([b"", b"|agent|word|12"]),
+    st.sampled_from([b"", b"\r"]))
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(lines=st.lists(_job_visit_line, max_size=30),
+       spill_pairs=st.sampled_from([1, RunOptions().spill_pairs]))
+def test_uservisits_job_parts_match_oracle_for_any_revenue_spelling(lines, spill_pairs):
+    data = b"".join(line + b"\n" for line in lines)
+
+    def job_parts(mapper_id):
+        c = Cluster(ClusterConfig(num_nodes=3, chunk_size=64, replication=1, seed=1))
+        c.put_file("in", data)
+        spec = JobSpec(job_id="uv", input_path="in", output_path="out",
+                       mapper_id=mapper_id, reducer_id="uservisits.reduce", num_reducers=2)
+        report = submit_job(c, spec, RunOptions(executor="serial", spill_pairs=spill_pairs))
+        return [c.get_file(part) for part in report.parts]
+
+    parts = job_parts("uservisits.map")
+    assert parts == job_parts("uservisits_record.map")
+    got = sorted(line for part in parts for line in oracles.split_lines(part))
+    assert got == sorted(k + b"\t" + repr(v).encode()
+                         for k, v in oracles.uservisits_sums(data).items())
 
 
 def test_uservisits_approximate_combiner_within_tolerance():
