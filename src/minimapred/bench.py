@@ -222,18 +222,29 @@ def append_rows_csv(rows: list[BenchRow], path: str) -> None:
 
 
 def read_rows_csv(path: str) -> list[BenchRow]:
-    """Rows of a rows CSV; a missing column or bad value raises InvalidConfig."""
+    """Rows of a rows CSV; a missing column or bad value raises InvalidConfig.
+    Each row must hold what run_matrix writes: finite elapsed seconds above
+    0, and a size and worker count of at least 1, which the ratios divide by."""
     with open(path, newline="") as f:
         reader = csv.DictReader(f)
         missing = [c for c in CSV_COLUMNS if c not in (reader.fieldnames or ())]
         if missing:
             raise InvalidConfig(f"rows CSV {path!r} has no {missing[0]!r} column")
+        rows = []
         try:
-            return [BenchRow(**{name: parse(rec[column])
-                                for column, name, parse in _ROW_SCHEMA})
-                    for rec in reader]
+            for rec in reader:
+                row = BenchRow(**{name: parse(rec[column])
+                                  for column, name, parse in _ROW_SCHEMA})
+                if not (math.isfinite(row.elapsed_seconds) and row.elapsed_seconds > 0):
+                    raise ValueError(f"elapsed_seconds must be finite and > 0, "
+                                     f"got {row.elapsed_seconds}")
+                if min(row.size_bytes, row.workers) < 1:
+                    raise ValueError(f"size_bytes and workers must be >= 1, "
+                                     f"got {row.size_bytes} and {row.workers}")
+                rows.append(row)
         except (TypeError, ValueError) as e:  # a short row gives None values
             raise InvalidConfig(f"rows CSV {path!r} line {reader.line_num}: {e}") from None
+    return rows
 
 
 # ---------------------------------------------------------------------------

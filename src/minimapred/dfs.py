@@ -77,12 +77,19 @@ class FileMeta:
 
     @classmethod
     def from_json(cls, text: str) -> "FileMeta":
+        """Parse a catalog entry; a field of the wrong JSON type raises
+        InvalidConfig, so no command reads a string as a size."""
         d = json.loads(text)
         chunks = tuple(
             Chunk(c["file_id"], c["index"], c["offset"], c["length"], tuple(c["replicas"]))
             for c in d["chunks"]
         )
-        return cls(d["path"], d["file_id"], d["size"], chunks)
+        meta = cls(d["path"], d["file_id"], d["size"], chunks)
+        require_ints("catalog sizes, offsets and replicas", meta.size, *chain.from_iterable(
+            (c.index, c.offset, c.length, *c.replicas) for c in chunks))
+        if any(type(s) is not str for s in (meta.path, meta.file_id, *(c.file_id for c in chunks))):
+            raise InvalidConfig("catalog path and file ids must be strings")
+        return meta
 
 
 @dataclass(frozen=True)
@@ -293,7 +300,7 @@ class DiskStore:
             text = f.read()
         try:
             return FileMeta.from_json(text)
-        except (ValueError, KeyError, TypeError) as e:
+        except (ValueError, KeyError, TypeError, InvalidConfig) as e:
             raise InvalidConfig(f"unreadable catalog entry {path!r}: {e!r}") from None
 
     def get_meta_by_id(self, file_id: str) -> FileMeta | None:

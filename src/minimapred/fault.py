@@ -68,7 +68,6 @@ class FailurePlan:
 
 @dataclass
 class RecoverySummary:
-    reverted_running: list[str] = field(default_factory=list)
     reverted_completed_maps: list[str] = field(default_factory=list)
     restarted_reduces: list[str] = field(default_factory=list)
 
@@ -104,7 +103,6 @@ def recover(job: JobState, dead_node: int, max_attempts: int) -> RecoverySummary
             continue
         if task.state is TaskState.RUNNING:
             revert(task, max_attempts)
-            summary.reverted_running.append(task.task_id)
         elif task.state is TaskState.COMPLETED and task.kind == "map":
             revert(task, max_attempts)
             summary.reverted_completed_maps.append(task.task_id)

@@ -132,7 +132,16 @@ class RunOptions:
 
 @dataclass
 class JobReport:
-    """Summary returned by submit_job; serializable to JSON."""
+    """Summary returned by submit_job; serializable to JSON. Where each
+    count comes from:
+
+    - map_attempts, reduce_attempts: the event log's dispatches per kind;
+    - re_executed_completed_maps: its reexecute_completed_map events;
+    - re_executed_completed_reduces: its reduce completions less the
+      completed reduces that stand; 0 by the recovery rules, else a bug;
+    - skipped_records: the skip counts of the accepted map results;
+    - map_tasks, reduce_tasks, parts, tasks: the final task table.
+    """
 
     job_id: str
     phase: str

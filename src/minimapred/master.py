@@ -303,6 +303,7 @@ class Master:
             map_tasks=len(self.state.map_tasks),
             reduce_tasks=len(self.state.reduce_tasks),
             re_executed_completed_maps=logged("reexecute_completed_map"),
+            re_executed_completed_reduces=logged("complete", "reduce-") - len(parts),
             skipped_records=sum(t.result.skipped for t in self.state.map_tasks if t.result),
             tasks=[
                 {

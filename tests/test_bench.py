@@ -249,6 +249,22 @@ def test_missing_one_worker_baseline_raises():
         speedup_report([row(workers=2), row(workers=4)])
 
 
+@pytest.mark.parametrize("rows, message", [
+    ([], "no rows"),
+    ([row(workers=1), row(workers=2), row(workers=2, size=2000)], "no successful 1-worker rows"),
+    ([row(workers=1), row(workers=1, size=2000), row(workers=2, size=2000)],
+     "at the smallest size 1000"),
+], ids=["empty", "size-without-1-worker", "workers-without-smallest-size"])
+def test_report_without_its_baseline_raises(rows, message):
+    with pytest.raises(ReportError, match=message):
+        speedup_report(rows)
+
+
+def test_plot_of_no_rows_raises(tmp_path):
+    with pytest.raises(ReportError, match="no rows"):
+        emit_plot_data([], str(tmp_path / "plot.csv"))
+
+
 def test_failed_rows_excluded_from_medians():
     rows = [row(workers=1, elapsed=2.0),
             row(workers=1, rep=1, elapsed=100.0, failed=True),

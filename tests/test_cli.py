@@ -240,8 +240,10 @@ def test_unreadable_cluster_config_exits_2(tmp_path, capsys, text):
     assert "error: unreadable cluster config" in err and "cluster.json" in err
 
 
-@pytest.mark.parametrize("text", ['{"path": "in", "file_id"', "{}"],
-                         ids=["truncated", "empty-object"])
+@pytest.mark.parametrize("text", [
+    '{"path": "in", "file_id"', "{}",
+    '{"path": "in", "file_id": "x", "size": "4", "chunks": []}',
+], ids=["truncated", "empty-object", "wrong-type"])
 @pytest.mark.parametrize("argv", [
     ["dfs", "ls"],
     ["dfs", "get", "in"],
@@ -442,7 +444,12 @@ def test_local_path_that_is_a_directory_exits_2(tmp_path, capsys):
     (",".join(bench.CSV_COLUMNS) + "\nwordcount,one,4096,0,1.0,4,2,42,false\n", "line 2"),
     (",".join(bench.CSV_COLUMNS) + "\nwordcount,1,4096\n", "line 2"),
     (",".join(bench.CSV_COLUMNS) + "\nwordcount,1,4096,0,1.0,4,2,42,yes\n", "line 2"),
-], ids=["missing-column", "bad-int", "short-row", "bad-flag"])
+    (",".join(bench.CSV_COLUMNS) + "\nwordcount,1,4096,0,1.0,4,2,42,false\n"
+     "wordcount,2,4096,0,0.0,4,2,42,false\n", "line 3"),
+    (",".join(bench.CSV_COLUMNS) + "\nwordcount,1,4096,0,nan,4,2,42,false\n", "line 2"),
+    (",".join(bench.CSV_COLUMNS) + "\nwordcount,1,0,0,1.0,4,2,42,false\n", "line 2"),
+], ids=["missing-column", "bad-int", "short-row", "bad-flag", "zero-seconds", "nan-seconds",
+        "zero-size"])
 def test_bench_report_malformed_csv_exits_2(tmp_path, capsys, text, message):
     rows = tmp_path / "rows.csv"
     rows.write_text(text)

@@ -75,6 +75,22 @@ def test_catalog_json_bytes_are_pinned(tmp_path):
     assert ClusterConfig(**json.loads(text)) == cfg
 
 
+def _entry(chunk=None, **fields):
+    return json.dumps({"path": "in", "file_id": "x", "size": 4, **fields,
+                       "chunks": [{"file_id": "x", "index": 0, "offset": 0, "length": 4,
+                                   "replicas": [0], **(chunk or {})}]})
+
+
+@pytest.mark.parametrize("text", [
+    _entry(path=7), _entry(size=True), _entry(chunk={"file_id": None}),
+    _entry(chunk={"length": 4.0}), _entry(chunk={"replicas": ["0"]}),
+], ids=["int-path", "bool-size", "null-chunk-id", "float-length", "str-replica"])
+def test_catalog_entry_of_wrong_types_rejected(text):
+    with pytest.raises(InvalidConfig):
+        FileMeta.from_json(text)
+    assert FileMeta.from_json(_entry()).size == 4
+
+
 def test_placement_changes_with_seed():
     data = b"y" * 300
     a = cluster(nodes=5, seed=1).put_file("f", data)
@@ -109,6 +125,23 @@ def test_invalid_config_rejected(kwargs):
 def test_get_unknown_path():
     with pytest.raises(NotFound):
         cluster().get_file("nope")
+
+
+def test_unknown_file_id_and_node_rejected():
+    c = cluster(nodes=4)
+    with pytest.raises(NotFound):
+        c.meta_by_id("nope")
+    with pytest.raises(InvalidConfig):
+        c.mark_node_dead(4)
+
+
+def test_put_with_every_node_dead_stores_nothing():
+    c = cluster(nodes=2)
+    c.mark_node_dead(0)
+    c.mark_node_dead(1)
+    with pytest.raises(ChunkUnavailable):
+        c.put_file("f", b"data\n")
+    assert c.list_files() == []
 
 
 def test_roundtrip_simple():

@@ -28,6 +28,7 @@ from minimapred import (
     run_job,
     submit_job,
 )
+from minimapred.executors import make_executor
 from minimapred.hashing import fnv1a64, partition_for_key
 from minimapred.schedule import plan_map_tasks, plan_reduce_tasks, schedule
 from minimapred.tasks import (
@@ -144,6 +145,11 @@ def test_plan_map_tasks_one_per_split():
     assert all(t.state is TaskState.PENDING and t.attempt == 0 for t in tasks)
     assert [t.payload.preferred_nodes for t in tasks] == [(0,), (1,), (2,)]
     assert plan_map_tasks([]) == []
+
+
+def test_unknown_executor_rejected():
+    with pytest.raises(InvalidConfig, match="unknown executor 'bogus'"):
+        make_executor("bogus", 1, "memory")
 
 
 # ---------------------------------------------------------------------------

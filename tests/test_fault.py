@@ -16,6 +16,7 @@ from minimapred import (
     JobFailed,
     JobSpec,
     JobState,
+    Master,
     Phase,
     RunOptions,
     ShuffleSourceLost,
@@ -136,7 +137,7 @@ def test_running_task_on_dead_node_only():
     state.task("map-1").state = TaskState.RUNNING
     state.task("map-1").result = None
     summary = recover(state, dead_node=1, max_attempts=4)
-    assert summary.reverted_running == ["map-1"]
+    assert state.task("map-1").state is TaskState.PENDING
     assert summary.reverted_completed_maps == []
     assert state.task("map-0").state is TaskState.COMPLETED
     assert state.task("map-1").attempt == 1
@@ -144,11 +145,17 @@ def test_running_task_on_dead_node_only():
 
 def test_unrelated_node_death_changes_nothing():
     state = _state_with()
+    before = [replace(t) for t in state.map_tasks + state.reduce_tasks]
     # node 3 runs reduce-1; no completed map runs live there
     summary = recover(state, dead_node=0, max_attempts=4)
-    assert summary.reverted_running == []
+    assert state.map_tasks + state.reduce_tasks == before
     assert summary.reverted_completed_maps == []
     assert state.phase is Phase.REDUCING
+
+
+def test_unknown_task_id_raises_key_error():
+    with pytest.raises(KeyError):
+        _state_with().task("map-99")
 
 
 def test_recover_attempt_cap_raises():
@@ -200,7 +207,6 @@ def test_recover_follows_its_rule_on_any_task_table(map_rows, reduce_rows, phase
             recover(state, dead, max_attempts=4)
         return
     summary = recover(state, dead, max_attempts=4)
-    assert summary.reverted_running == running
     assert summary.reverted_completed_maps == completed_maps
     assert summary.restarted_reduces == restarted
     assert state.phase is phase
@@ -211,6 +217,25 @@ def test_recover_follows_its_rule_on_any_task_table(map_rows, reduce_rows, phase
                 TaskState.PENDING, old.attempt + 1, None, None)
         else:
             assert t == old
+
+
+def _report_from(state, completed):
+    # a master that never ran: _report reads only its spec, state and events
+    master = Master.__new__(Master)
+    master.spec, master.state = state.spec, state
+    master.events = [{"tick": 0, "event": "complete", "task": t} for t in completed]
+    return master._report(0.0)
+
+
+def test_report_counts_each_thrown_away_reduce_completion():
+    # a completed reduce that runs again is against the recovery rules;
+    # the report counts each accepted completion whose part does not stand
+    state = _state_with()
+    assert _report_from(state, ["reduce-0"]).re_executed_completed_reduces == 0
+    assert _report_from(state, ["reduce-0", "reduce-0"]).re_executed_completed_reduces == 1
+    state.task("reduce-1").state = TaskState.PENDING
+    assert _report_from(state, ["reduce-0", "reduce-1", "reduce-0"]
+                        ).re_executed_completed_reduces == 2
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Repository rules that no single module's tests would catch."""
 
 import ast
+import dataclasses
 import os
 import re
 import shlex
@@ -42,6 +43,18 @@ def test_public_api_is_pinned():
         "UnknownFunction", "UnknownInput",
     ])
     assert [n for n in minimapred.__all__ if not hasattr(minimapred, n)] == []
+
+
+def test_master_sets_every_job_report_field():
+    # a field left to its default reads 0 in every report, and a test that
+    # asserts it is 0 then checks nothing
+    from minimapred import JobReport
+
+    with open(os.path.join(SRC, "master.py")) as f:
+        tree = ast.parse(f.read())
+    [call] = [n for n in ast.walk(tree) if isinstance(n, ast.Call)
+              and isinstance(n.func, ast.Name) and n.func.id == "JobReport"]
+    assert {k.arg for k in call.keywords} == {f.name for f in dataclasses.fields(JobReport)}
 
 
 def test_both_stores_define_the_same_public_names():
