@@ -8,6 +8,7 @@ sorted runs. Scripted node deaths exercise the recovery rules, and a
 benchmark harness measures size/worker scaling as ratio properties.
 """
 
+from . import jobs  # noqa: F401 - registers the built-in jobs, in workers too
 from .dfs import Chunk, Cluster, ClusterConfig, FileMeta, InputSplit, Record
 from .errors import (
     AlreadyExists,

@@ -77,7 +77,8 @@ class FileMeta:
 
     @classmethod
     def from_json(cls, text: str) -> "FileMeta":
-        """Parse a catalog entry; a field of the wrong JSON type raises
+        """Parse a catalog entry; a field of the wrong JSON type, or chunks
+        that do not cover the size in order with distinct replicas, raise
         InvalidConfig, so no command reads a string as a size."""
         d = json.loads(text)
         chunks = tuple(
@@ -89,6 +90,16 @@ class FileMeta:
             (c.index, c.offset, c.length, *c.replicas) for c in chunks))
         if any(type(s) is not str for s in (meta.path, meta.file_id, *(c.file_id for c in chunks))):
             raise InvalidConfig("catalog path and file ids must be strings")
+        offset = 0
+        for i, c in enumerate(chunks):
+            if c.index != i or c.offset != offset or c.length < 1:
+                raise InvalidConfig(f"catalog chunk {i} has index {c.index}, "
+                                    f"offset {c.offset}, length {c.length}")
+            if not c.replicas or len(set(c.replicas)) < len(c.replicas):
+                raise InvalidConfig(f"catalog chunk {i} has replicas {list(c.replicas)}")
+            offset += c.length
+        if meta.size != offset:  # a negative size too: offset is never below 0
+            raise InvalidConfig(f"catalog size {meta.size} is not its chunks' {offset}")
         return meta
 
 
@@ -238,8 +249,9 @@ class DiskStore:
 
     kind = "disk"
 
-    def __init__(self, root: str):
+    def __init__(self, root: str, num_nodes: int | None = None):
         self.root = os.path.abspath(root)
+        self.num_nodes = num_nodes  # when given, every catalog replica is below it
         os.makedirs(os.path.join(self.root, "meta"), exist_ok=True)
 
     def _node_dir(self, node: int) -> str:
@@ -299,7 +311,11 @@ class DiskStore:
         with open(path, "rb") as f:
             text = f.read()
         try:
-            return FileMeta.from_json(text)
+            meta = FileMeta.from_json(text)
+            nodes = {n for c in meta.chunks for n in c.replicas}
+            if self.num_nodes is not None and not nodes <= set(range(self.num_nodes)):
+                raise InvalidConfig(f"catalog replicas must be in [0, {self.num_nodes})")
+            return meta
         except (ValueError, KeyError, TypeError, InvalidConfig) as e:
             raise InvalidConfig(f"unreadable catalog entry {path!r}: {e!r}") from None
 
@@ -387,10 +403,10 @@ class Cluster:
                     f"store at {root!r} was created with {stored.to_dict()}, "
                     f"which conflicts with {config.to_dict()}"
                 )
-            return cls(stored, DiskStore(root))
+            return cls(stored, DiskStore(root, stored.num_nodes))
         if config is None:
             raise NotFound(f"store {root!r} not found: it has no {_CONFIG_FILE}")
-        store = DiskStore(root)
+        store = DiskStore(root, config.num_nodes)
         store._atomic_write(cfg_path, json.dumps(config.to_dict()).encode())
         return cls(config, store)
 

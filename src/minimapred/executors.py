@@ -12,7 +12,9 @@ messages, so the same scheduling loop drives three backends:
   pickles as its config and store root, and each worker reopens the files.
 
 A pool's poll() returns the tasks finished so far and wait() blocks until
-at least one is; either returns its batch in submission order. Which tasks
+at least one is; either returns its batch in submission order. The serial
+executor has no wait(): its poll() runs everything queued, so the master
+never has a serial task in flight when it would wait. Which tasks
 have finished depends on the interleaving, so the master treats any batch
 order as legal. A pool-level failure (a worker process that died, say) is
 still reported, as a TaskResult with attempt -1.
@@ -39,33 +41,33 @@ def execute_task(payload: dict) -> TaskResult:
         node=payload["node"],
     )
     try:
-        cluster = payload["cluster"]
+        cluster, spec = payload["cluster"], payload["spec"]
         if payload["kind"] == "map":
             runs, skipped = run_map_task(
                 cluster,
-                payload["job_id"],
+                spec.job_id,
                 payload["task_id"],
                 payload["attempt"],
                 payload["node"],
                 payload["split"],
-                resolve_split(payload["mapper_id"]),
-                resolve(payload["combiner_id"]) if payload["combiner_id"] else None,
-                payload["num_reducers"],
+                resolve_split(spec.mapper_id),
+                resolve(spec.combiner_id) if spec.combiner_id else None,
+                spec.num_reducers,
                 payload["spill_pairs"],
             )
-            return TaskResult(ok=True, runs=runs, skipped=skipped, **base)
+            return TaskResult(runs=runs, skipped=skipped, **base)
         run_reduce_task(
             cluster,
             payload["partition"],
-            resolve(payload["reducer_id"]),
+            resolve(spec.reducer_id),
             payload["sources"],
-            payload["output_path"],
+            spec.output_path,
         )
-        return TaskResult(ok=True, **base)
+        return TaskResult(**base)
     except ShuffleSourceLost as e:
-        return TaskResult(ok=False, shuffle_lost=e.map_task_id, error=str(e), **base)
+        return TaskResult(shuffle_lost=e.map_task_id, error=str(e), **base)
     except Exception as e:  # noqa: BLE001 - task failures go back to the master
-        return TaskResult(ok=False, error=f"{type(e).__name__}: {e}", **base)
+        return TaskResult(error=f"{type(e).__name__}: {e}", **base)
 
 
 class SerialExecutor:
@@ -81,9 +83,6 @@ class SerialExecutor:
         batch = sorted(self._queued, key=lambda item: item[0])
         self._queued = []
         return [execute_task(p) for _, p in batch]
-
-    def wait(self) -> list[TaskResult]:
-        return self.poll()
 
     def shutdown(self) -> None:
         pass
@@ -109,7 +108,7 @@ class _PoolExecutor:
             try:
                 out.append(fut.result())
             except Exception as e:  # pool-level failure (e.g. broken process)
-                out.append(TaskResult(task_id="", attempt=-1, node=-1, ok=False,
+                out.append(TaskResult(task_id="", attempt=-1, node=-1,
                                       error=f"{type(e).__name__}: {e}"))
         return out
 

@@ -17,6 +17,8 @@ from dataclasses import dataclass, field
 from .errors import InvalidPlan, JobFailed
 from .jobtypes import JobState, Phase, TaskDescriptor, TaskState
 
+MAX_TASK_ATTEMPTS = 4
+
 
 @dataclass(frozen=True)
 class FailureEvent:
@@ -72,19 +74,19 @@ class RecoverySummary:
     restarted_reduces: list[str] = field(default_factory=list)
 
 
-def revert(task: TaskDescriptor, max_attempts: int, detail: str | None = None) -> None:
+def revert(task: TaskDescriptor, detail: str | None = None) -> None:
     """Send a task back to pending with its next attempt number; raise
-    JobFailed, ending with ``detail`` if given, past ``max_attempts``."""
+    JobFailed, ending with ``detail`` if given, past ``MAX_TASK_ATTEMPTS``."""
     task.attempt += 1
-    if task.attempt > max_attempts:
-        raise JobFailed(f"task {task.task_id} exceeded {max_attempts} attempts"
+    if task.attempt > MAX_TASK_ATTEMPTS:
+        raise JobFailed(f"task {task.task_id} exceeded {MAX_TASK_ATTEMPTS} attempts"
                         + (f": {detail}" if detail else ""))
     task.state = TaskState.PENDING
     task.assigned_node = None
     task.result = None
 
 
-def recover(job: JobState, dead_node: int, max_attempts: int) -> RecoverySummary:
+def recover(job: JobState, dead_node: int) -> RecoverySummary:
     """Apply the recovery rules for one confirmed-dead node.
 
     Every task assigned to the node is looked at once. A running one is
@@ -94,7 +96,7 @@ def recover(job: JobState, dead_node: int, max_attempts: int) -> RecoverySummary
     reducing, every not-yet-completed reducer has to rebuild its merge from
     the re-executed runs, so running reducers are reverted too. The phase
     is left to the master, which moves it back to mapping and logs the
-    change.
+    change. A task reverted past ``MAX_TASK_ATTEMPTS`` raises JobFailed.
     """
     summary = RecoverySummary()
 
@@ -102,15 +104,15 @@ def recover(job: JobState, dead_node: int, max_attempts: int) -> RecoverySummary
         if task.assigned_node != dead_node:
             continue
         if task.state is TaskState.RUNNING:
-            revert(task, max_attempts)
+            revert(task)
         elif task.state is TaskState.COMPLETED and task.kind == "map":
-            revert(task, max_attempts)
+            revert(task)
             summary.reverted_completed_maps.append(task.task_id)
 
     if summary.reverted_completed_maps and job.phase is Phase.REDUCING:
         for task in job.reduce_tasks:
             if task.state is TaskState.RUNNING:
-                revert(task, max_attempts)
+                revert(task)
                 summary.restarted_reduces.append(task.task_id)
 
     return summary

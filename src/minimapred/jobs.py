@@ -54,7 +54,6 @@ def wordcount_reduce(key: bytes, values: list[bytes]) -> list[tuple[bytes, bytes
                 raise ValueError(
                     f"count {bad!r} for token {key!r} is not an integer"
                 ) from None
-        raise
     return [(key, str(total).encode())]
 
 

@@ -10,7 +10,6 @@ from dataclasses import asdict, dataclass, field
 from .dfs import InputSplit, part_file_path
 from .errors import InvalidConfig, require_ints
 
-MAX_TASK_ATTEMPTS = 4
 SPILL_PAIRS = 512 * 1024  # default map-side buffered values before a spill
 
 
@@ -52,13 +51,13 @@ class TaskState(enum.Enum):
 @dataclass
 class TaskResult:
     """A worker's reply for one task attempt, or for a pool-level failure
-    (attempt -1). A map's ``runs`` are each partition's run names on
+    (attempt -1). The attempt succeeded when ``error`` is None; every
+    failure sets it. A map's ``runs`` are each partition's run names on
     ``node``, in spill order, final run last."""
 
     task_id: str
     attempt: int
     node: int
-    ok: bool
     runs: list[tuple[str, ...]] | None = None
     skipped: int = 0
     shuffle_lost: str | None = None  # map task whose runs were missing

@@ -33,8 +33,8 @@ from .errors import (
 )
 from .executors import make_executor
 from .fault import FailureEvent, FailurePlan
-from .jobtypes import (MAX_TASK_ATTEMPTS, JobReport, JobSpec, JobState, Phase, RunOptions,
-                       TaskDescriptor, TaskResult, TaskState)
+from .jobtypes import (JobReport, JobSpec, JobState, Phase, RunOptions, TaskDescriptor,
+                       TaskResult, TaskState)
 from .registry import is_combiner_safe, resolve
 from .schedule import plan_map_tasks, plan_reduce_tasks, schedule
 
@@ -85,7 +85,9 @@ class Master:
         self.state: JobState | None = None
         self.events: list[dict] = []
         self.tick = 0
-        self._busy: dict[int, tuple[str, int]] = {}  # node -> (task_id, attempt)
+        # nodes with an attempt in flight; a busy node gets no dispatch, so a
+        # node's reply is always its one attempt's and frees it
+        self._busy: set[int] = set()
 
     # -- public ------------------------------------------------------------
 
@@ -173,10 +175,13 @@ class Master:
     def _dispatch(self, executor, task: TaskDescriptor, node: int) -> None:
         task.state = TaskState.RUNNING
         task.assigned_node = node
-        self._busy[node] = (task.task_id, task.attempt)
+        self._busy.add(node)
         self._log("dispatch", task=task.task_id, attempt=task.attempt, node=node)
+        # job_id repeats spec.job_id: perfbench/tracer.py reads it, with
+        # task_id and attempt, from the payload inside worker processes
         payload = {
             "cluster": self.cluster,
+            "spec": self.spec,
             "job_id": self.spec.job_id,
             "task_id": task.task_id,
             "attempt": task.attempt,
@@ -186,19 +191,14 @@ class Master:
         if task.kind == "map":
             payload.update(
                 split=task.payload,
-                mapper_id=self.spec.mapper_id,
-                combiner_id=self.spec.combiner_id,
-                num_reducers=self.spec.num_reducers,
                 spill_pairs=self.options.spill_pairs,
             )
         else:
             partition = task.payload
             payload.update(
                 partition=partition,
-                reducer_id=self.spec.reducer_id,
                 sources=[(m.index, m.task_id, m.assigned_node, m.result.runs[partition])
                          for m in self.state.map_tasks],
-                output_path=self.spec.output_path,
             )
         executor.submit(node, payload)
 
@@ -207,8 +207,7 @@ class Master:
     def _handle(self, msg: TaskResult) -> None:
         if msg.attempt < 0:  # executor-level failure, not tied to a task
             raise JobFailed(f"executor failure: {msg.error}")
-        if self._busy.get(msg.node) == (msg.task_id, msg.attempt):
-            del self._busy[msg.node]
+        self._busy.discard(msg.node)
         task = self.state.task(msg.task_id)
         if msg.shuffle_lost is not None:
             self._log("shuffle_source_lost", reducer=msg.task_id,
@@ -222,7 +221,7 @@ class Master:
                       node=msg.node)
             return
 
-        if msg.ok:
+        if msg.error is None:
             task.state = TaskState.COMPLETED
             task.result = msg
             self._log("complete", task=task.task_id, attempt=task.attempt,
@@ -234,12 +233,12 @@ class Master:
             # a reducer found a source run unreadable: re-execute that map
             lost = self.state.task(msg.shuffle_lost)
             if lost.state is TaskState.COMPLETED:
-                fault.revert(lost, MAX_TASK_ATTEMPTS, msg.error)
+                fault.revert(lost, msg.error)
                 self._log("reexecute_completed_map", task=lost.task_id)
         else:
             self._log("task_failed", task=task.task_id, attempt=task.attempt,
                       node=msg.node, error=msg.error)
-        fault.revert(task, MAX_TASK_ATTEMPTS, msg.error)
+        fault.revert(task, msg.error)
 
     def _fire(self, due: Callable[[FailureEvent], bool]) -> None:
         """Kill the node of every plan event that is ``due``, in plan order.
@@ -254,7 +253,7 @@ class Master:
             return
         self._log("node_dead", node=node)
         self.cluster.mark_node_dead(node)
-        summary = fault.recover(self.state, node, MAX_TASK_ATTEMPTS)
+        summary = fault.recover(self.state, node)
         for task_id in summary.reverted_completed_maps:
             self._log("reexecute_completed_map", task=task_id)
         for task_id in summary.restarted_reduces:

@@ -79,7 +79,6 @@ def per_record(fn: Callable) -> Callable:
 
 
 def resolve(fn_id: str) -> Callable:
-    _ensure_builtins()
     try:
         return _entries[fn_id][0]
     except KeyError:
@@ -93,15 +92,8 @@ def resolve_split(fn_id: str) -> Callable:
 
 
 def is_combiner_safe(fn_id: str) -> bool:
-    _ensure_builtins()
     return fn_id in _entries and _entries[fn_id][1]
 
 
 def registered_ids() -> list[str]:
-    _ensure_builtins()
     return sorted(_entries)
-
-
-def _ensure_builtins() -> None:
-    # idempotent; worker processes resolve ids without prior setup
-    from . import jobs  # noqa: F401

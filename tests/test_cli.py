@@ -240,10 +240,24 @@ def test_unreadable_cluster_config_exits_2(tmp_path, capsys, text):
     assert "error: unreadable cluster config" in err and "cluster.json" in err
 
 
+def _catalog_entry(size=8, **chunk1):
+    """An 8-byte file in two 4-byte chunks, with ``chunk1`` changing the second."""
+    chunks = [{"file_id": "x", "index": 0, "offset": 0, "length": 4, "replicas": [0, 1]},
+              {"file_id": "x", "index": 1, "offset": 4, "length": 4, "replicas": [1, 2],
+               **chunk1}]
+    return json.dumps({"path": "in", "file_id": "x", "size": size, "chunks": chunks})
+
+
 @pytest.mark.parametrize("text", [
     '{"path": "in", "file_id"', "{}",
     '{"path": "in", "file_id": "x", "size": "4", "chunks": []}',
-], ids=["truncated", "empty-object", "wrong-type"])
+    _catalog_entry(size=-5), _catalog_entry(size=20), _catalog_entry(index=2),
+    _catalog_entry(offset=2), _catalog_entry(length=2), _catalog_entry(size=4, length=0),
+    _catalog_entry(replicas=[]), _catalog_entry(replicas=[1, 1]),
+    _catalog_entry(replicas=[9]),
+], ids=["truncated", "empty-object", "wrong-type", "negative-size", "size-past-chunks",
+        "wrong-index", "wrong-offset", "short-chunk", "empty-chunk", "no-replicas",
+        "repeated-replica", "replica-out-of-range"])
 @pytest.mark.parametrize("argv", [
     ["dfs", "ls"],
     ["dfs", "get", "in"],

@@ -1,6 +1,8 @@
 """Failure injection, node death and recovery semantics."""
 
+import functools
 import os
+import tempfile
 from dataclasses import replace
 
 import pytest
@@ -28,9 +30,9 @@ from minimapred import (
     submit_job,
 )
 import minimapred.executors as executors
-from minimapred.jobtypes import TaskResult
+from minimapred.jobtypes import SPILL_PAIRS, TaskResult
 from minimapred.tasks import run_map_task, shuffle_fetch
-from minimapred.jobs import wordcount_map
+from minimapred.jobs import job_spec, uservisits_lines, wordcount_map
 from minimapred.registry import per_record
 
 import oracles
@@ -100,9 +102,9 @@ def _state_with(phase=Phase.REDUCING):
     split = InputSplit("fid", 0, 0, 10, (0, 1))
     maps = [
         TaskDescriptor("map-0", "map", split, TaskState.COMPLETED, assigned_node=2,
-                       result=TaskResult("map-0", 0, 2, True, runs=[("r0",)])),
+                       result=TaskResult("map-0", 0, 2, runs=[("r0",)])),
         TaskDescriptor("map-1", "map", split, TaskState.COMPLETED, assigned_node=1,
-                       result=TaskResult("map-1", 0, 1, True, runs=[("r1",)])),
+                       result=TaskResult("map-1", 0, 1, runs=[("r1",)])),
     ]
     reduces = [
         TaskDescriptor("reduce-0", "reduce", 0, TaskState.COMPLETED,
@@ -118,7 +120,7 @@ def _state_with(phase=Phase.REDUCING):
 def test_completed_map_reverts_completed_reduce_survives():
     # node 1 held both a completed map's runs and a completed reduce
     state = _state_with()
-    summary = recover(state, dead_node=1, max_attempts=4)
+    summary = recover(state, dead_node=1)
     assert summary.reverted_completed_maps == ["map-1"]
     map1 = state.task("map-1")
     assert map1.state is TaskState.PENDING
@@ -136,7 +138,7 @@ def test_running_task_on_dead_node_only():
     state = _state_with(phase=Phase.MAPPING)
     state.task("map-1").state = TaskState.RUNNING
     state.task("map-1").result = None
-    summary = recover(state, dead_node=1, max_attempts=4)
+    summary = recover(state, dead_node=1)
     assert state.task("map-1").state is TaskState.PENDING
     assert summary.reverted_completed_maps == []
     assert state.task("map-0").state is TaskState.COMPLETED
@@ -147,7 +149,7 @@ def test_unrelated_node_death_changes_nothing():
     state = _state_with()
     before = [replace(t) for t in state.map_tasks + state.reduce_tasks]
     # node 3 runs reduce-1; no completed map runs live there
-    summary = recover(state, dead_node=0, max_attempts=4)
+    summary = recover(state, dead_node=0)
     assert state.map_tasks + state.reduce_tasks == before
     assert summary.reverted_completed_maps == []
     assert state.phase is Phase.REDUCING
@@ -162,7 +164,7 @@ def test_recover_attempt_cap_raises():
     state = _state_with()
     state.task("map-1").attempt = 4
     with pytest.raises(JobFailed):
-        recover(state, dead_node=1, max_attempts=4)
+        recover(state, dead_node=1)
 
 
 _task_rows = st.lists(
@@ -183,7 +185,7 @@ def test_recover_follows_its_rule_on_any_task_table(map_rows, reduce_rows, phase
         result = None
         if state is TaskState.COMPLETED:
             runs = [(f"runs/j/{task_id}.{attempt}.0",)] if kind == "map" else None
-            result = TaskResult(task_id, attempt, node, True, runs=runs)
+            result = TaskResult(task_id, attempt, node, runs=runs)
         return TaskDescriptor(task_id, kind, split if kind == "map" else i, state, attempt,
                               None if state is TaskState.PENDING else node, result)
 
@@ -204,9 +206,9 @@ def test_recover_follows_its_rule_on_any_task_table(map_rows, reduce_rows, phase
 
     if any(before[t].attempt >= 4 for t in reverted):
         with pytest.raises(JobFailed, match="exceeded 4 attempts"):
-            recover(state, dead, max_attempts=4)
+            recover(state, dead)
         return
-    summary = recover(state, dead, max_attempts=4)
+    summary = recover(state, dead)
     assert summary.reverted_completed_maps == completed_maps
     assert summary.restarted_reduces == restarted
     assert state.phase is phase
@@ -456,6 +458,56 @@ def test_output_equivalence_under_fault_plans(specs):
     assert [c1.get_file(p) for p in res.report.parts] == [
         c0.get_file(p) for p in baseline.report.parts]
     assert res.report.phase == "done"
+
+
+_PLAN_CONFIG = ClusterConfig(num_nodes=4, chunk_size=256, replication=2, seed=11)
+_PLAN_INPUTS = {"wordcount": random_tokens(31, n=120), "uservisits": uservisits_lines(10, 3)}
+
+
+@functools.cache
+def _failure_free_parts(job):
+    c = Cluster(_PLAN_CONFIG)
+    c.put_file("in", _PLAN_INPUTS[job])
+    res = run_job(c, job_spec(job, "j", "in", "out", 2), RunOptions(executor="serial"))
+    return [c.get_file(p) for p in res.report.parts]
+
+
+# a kill's trigger is ("tick", t) or ("after", i), i indexing the job's task ids
+_triggers = st.lists(st.one_of(st.tuples(st.just("tick"), st.integers(0, 8)),
+                               st.tuples(st.just("after"), st.integers(0, 9))),
+                     min_size=1, max_size=2)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(job=st.sampled_from(sorted(_PLAN_INPUTS)), kind=st.sampled_from(["memory", "disk"]),
+       spill_pairs=st.sampled_from([1, SPILL_PAIRS]), nodes=st.permutations(range(4)),
+       triggers=_triggers)
+def test_serial_job_survives_any_plan_that_keeps_a_replica_of_every_chunk(
+        job, kind, spill_pairs, nodes, triggers):
+    """Drawn plans kill one or two distinct nodes. One that leaves a live
+    replica of every input chunk must end done with the failure-free
+    parts and a clean store; any other may instead raise JobFailed."""
+    kills = list(zip(nodes, triggers))
+    with tempfile.TemporaryDirectory() as root:
+        c = Cluster(_PLAN_CONFIG) if kind == "memory" else Cluster.open_disk(root, _PLAN_CONFIG)
+        meta = c.put_file("in", _PLAN_INPUTS[job])
+        ids = [f"map-{i}" for i in range(len(meta.chunks))] + ["reduce-0", "reduce-1"]
+        plan = FailurePlan(tuple(
+            FailureEvent(node, tick=n) if how == "tick"
+            else FailureEvent(node, after_task=ids[n % len(ids)])
+            for node, (how, n) in kills))
+        killed = {node for node, _ in kills}
+        survivable = all(set(ch.replicas) - killed for ch in meta.chunks)
+        try:
+            res = run_job(c, job_spec(job, "j", "in", "out", 2),
+                          RunOptions(executor="serial", spill_pairs=spill_pairs), plan)
+        except JobFailed:
+            assert not survivable
+            return
+        assert res.report.phase == "done"
+        assert [c.get_file(p) for p in res.report.parts] == _failure_free_parts(job)
+        assert oracles.store_problems(c) == []
+        assert oracles.local_leftovers(c) == []
 
 
 def test_completed_reduce_never_reverts():

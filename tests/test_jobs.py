@@ -1,7 +1,12 @@
 """The built-in wordcount and uservisits jobs."""
 
 import math
+import multiprocessing
+import os
 import re
+import subprocess
+import sys
+from concurrent import futures
 from unittest import mock
 
 import pytest
@@ -17,6 +22,7 @@ from minimapred import (
     UnknownFunction,
     register,
     registry,
+    resolve,
     run_job,
     submit_job,
 )
@@ -353,3 +359,17 @@ def test_job_function_ids_registered():
     for fn_id in ("wordcount.map", "wordcount.reduce", "wordcount.combine",
                   "uservisits.map", "uservisits.reduce"):
         assert fn_id in registered_ids()
+
+
+def test_built_ins_resolve_in_a_fresh_process():
+    # a forked worker inherits the registry; a spawned one or a new
+    # interpreter registers the built-ins only by importing the package
+    spawn = multiprocessing.get_context("spawn")
+    with futures.ProcessPoolExecutor(max_workers=1, mp_context=spawn) as pool:
+        assert [pool.submit(resolve, fn_id).result(timeout=60)
+                for fn_id in ("wordcount.map", "uservisits.map")] == [
+            wordcount_map, uservisits_map]
+    src = os.path.dirname(os.path.dirname(registry.__file__))
+    subprocess.run([sys.executable, "-c", "from minimapred.registry import resolve; "
+                    "resolve('uservisits.map')"],
+                   check=True, timeout=60, env={**os.environ, "PYTHONPATH": src})

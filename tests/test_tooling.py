@@ -57,6 +57,30 @@ def test_master_sets_every_job_report_field():
     assert {k.arg for k in call.keywords} == {f.name for f in dataclasses.fields(JobReport)}
 
 
+def test_every_dispatch_payload_key_is_read():
+    # a key that no worker reads is a copy of a fact pickled for nothing;
+    # perfbench's tracer reads some keys inside worker processes
+    with open(os.path.join(SRC, "master.py")) as f:
+        tree = ast.parse(f.read())
+    [dispatch] = [n for n in ast.walk(tree)
+                  if isinstance(n, ast.FunctionDef) and n.name == "_dispatch"]
+    keys = set()
+    for node in ast.walk(dispatch):
+        if isinstance(node, ast.Dict):
+            keys |= {k.value for k in node.keys}
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr == "update"):
+            keys |= {k.arg for k in node.keywords}
+    with open(os.path.join(SRC, "executors.py")) as f:
+        read = {n.slice.value for n in ast.walk(ast.parse(f.read()))
+                if isinstance(n, ast.Subscript) and isinstance(n.value, ast.Name)
+                and n.value.id == "payload" and isinstance(n.slice, ast.Constant)}
+    with open(os.path.join(SRC, "..", "..", "perfbench", "tracer.py")) as f:
+        tracer = f.read()
+    assert {"spec", "split", "sources"} <= keys
+    assert sorted(k for k in keys if k not in read and f'"{k}"' not in tracer) == []
+
+
 def test_both_stores_define_the_same_public_names():
     # the engine and perfbench's tracer call store methods by name on
     # either class, so a name on one store alone breaks the other
