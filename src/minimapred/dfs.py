@@ -249,9 +249,9 @@ class DiskStore:
 
     kind = "disk"
 
-    def __init__(self, root: str, num_nodes: int | None = None):
+    def __init__(self, root: str, num_nodes: int):
         self.root = os.path.abspath(root)
-        self.num_nodes = num_nodes  # when given, every catalog replica is below it
+        self.num_nodes = num_nodes  # every catalog replica is below it
         os.makedirs(os.path.join(self.root, "meta"), exist_ok=True)
 
     def _node_dir(self, node: int) -> str:
@@ -313,7 +313,7 @@ class DiskStore:
         try:
             meta = FileMeta.from_json(text)
             nodes = {n for c in meta.chunks for n in c.replicas}
-            if self.num_nodes is not None and not nodes <= set(range(self.num_nodes)):
+            if not nodes <= set(range(self.num_nodes)):
                 raise InvalidConfig(f"catalog replicas must be in [0, {self.num_nodes})")
             return meta
         except (ValueError, KeyError, TypeError, InvalidConfig) as e:

@@ -6,7 +6,7 @@ import pytest
 
 from minimapred import ReportError, bench, cli
 from minimapred.cli import main
-from minimapred.dfs import file_id_for
+from minimapred.dfs import DiskStore, file_id_for
 
 import oracles
 from test_engine import random_tokens
@@ -242,10 +242,35 @@ def test_unreadable_cluster_config_exits_2(tmp_path, capsys, text):
 
 def _catalog_entry(size=8, **chunk1):
     """An 8-byte file in two 4-byte chunks, with ``chunk1`` changing the second."""
-    chunks = [{"file_id": "x", "index": 0, "offset": 0, "length": 4, "replicas": [0, 1]},
-              {"file_id": "x", "index": 1, "offset": 4, "length": 4, "replicas": [1, 2],
+    fid = file_id_for("in")
+    chunks = [{"file_id": fid, "index": 0, "offset": 0, "length": 4, "replicas": [0, 1]},
+              {"file_id": fid, "index": 1, "offset": 4, "length": 4, "replicas": [1, 2],
                **chunk1}]
-    return json.dumps({"path": "in", "file_id": "x", "size": size, "chunks": chunks})
+    return json.dumps({"path": "in", "file_id": fid, "size": size, "chunks": chunks})
+
+
+def test_unchanged_catalog_entry_describes_a_readable_file(tmp_path, capsysbinary):
+    """The control for the garbled cases below: ``_catalog_entry()`` as written
+    passes every check, so each of them fails on the one field it changes."""
+    src = tmp_path / "f"
+    src.write_bytes(b"a b\n")
+    assert run_cli("dfs", "put", str(src), "in") == 0
+    root = tmp_path / "minimapred_store"
+    store = DiskStore(str(root), 4)
+    for node, index, data in [(0, 0, b"a b\n"), (1, 0, b"a b\n"), (1, 1, b"c d\n"),
+                              (2, 1, b"c d\n")]:
+        store.write_chunk(node, file_id_for("in"), index, data)
+    (root / "meta" / f"{file_id_for('in')}.json").write_text(_catalog_entry())
+    capsysbinary.readouterr()
+    assert run_cli("dfs", "ls") == 0
+    assert b"in" in capsysbinary.readouterr().out
+    assert run_cli("dfs", "get", "in") == 0
+    assert capsysbinary.readouterr().out == b"a b\nc d\n"
+    assert run_cli("job", "run", "wordcount", "--input", "in", "--output", "out",
+                   "--reducers", "1") == 0
+    capsysbinary.readouterr()
+    assert run_cli("dfs", "cat", "out/part-r-00000") == 0
+    assert capsysbinary.readouterr().out == b"a\t1\nb\t1\nc\t1\nd\t1\n"
 
 
 @pytest.mark.parametrize("text", [

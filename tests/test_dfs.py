@@ -198,7 +198,7 @@ def test_read_range_matches_slice():
 
 @pytest.mark.parametrize("kind", ["memory", "disk"])
 def test_ranged_read_chunk_matches_slice(kind, tmp_path):
-    store = MemoryStore() if kind == "memory" else DiskStore(str(tmp_path / "s"))
+    store = MemoryStore() if kind == "memory" else DiskStore(str(tmp_path / "s"), 4)
     whole = bytes(range(50))
     store.write_chunk(1, "fid", 3, whole)
     assert store.read_chunk(1, "fid", 3) == whole
@@ -613,7 +613,7 @@ def test_disk_dead_marker_visible_to_new_handles(tmp_path):
 
 @pytest.mark.parametrize("kind", ["memory", "disk"])
 def test_delete_local_tree_spares_sibling_prefixes(kind, tmp_path):
-    store = MemoryStore() if kind == "memory" else DiskStore(str(tmp_path / "s"))
+    store = MemoryStore() if kind == "memory" else DiskStore(str(tmp_path / "s"), 4)
     for name in ("runs/wc2/x", "runs/wc/x"):
         sink = store.open_local_write(0, name)
         sink.write(name.encode())
