@@ -315,6 +315,10 @@ class DiskStore:
             nodes = {n for c in meta.chunks for n in c.replicas}
             if not nodes <= set(range(self.num_nodes)):
                 raise InvalidConfig(f"catalog replicas must be in [0, {self.num_nodes})")
+            if (os.path.basename(path) != f"{meta.file_id}.json"
+                    or meta.file_id != file_id_for(meta.path)):
+                raise InvalidConfig(f"catalog file id {meta.file_id!r} names neither "
+                                    f"the entry's file nor its path")
             return meta
         except (ValueError, KeyError, TypeError, InvalidConfig) as e:
             raise InvalidConfig(f"unreadable catalog entry {path!r}: {e!r}") from None

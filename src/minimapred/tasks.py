@@ -4,16 +4,20 @@ merge-sort shuffle, grouping, and reduce.
 Intermediate data is stored as node-local "runs": key-sorted files of
 (key, values) groups, where adjacent groups may repeat a key. A run is a
 sequence of frames, each an 8-byte little-endian length followed by
-``marshal.dumps(groups, 2)`` of a list of groups. Version 2 is pinned
-because later versions write back-references to objects that occur more
-than once, which would make a run's bytes depend on object identity and
-not only on its values. Marshal's format is tied to the interpreter and
-is not hardened against hostile input; the engine writes and reads its
-runs itself, within one job, in the store's node-local directories.
+``marshal.dumps(groups, 2)`` of a list of groups. A group of n >= 2 values
+that are all equal is written as ``(key, value, n)`` and read back as
+``(key, [value] * n)``, one shared object; any other group is written as
+``(key, values)``. Equality, not identity, picks the form, and version 2
+is pinned because later versions write back-references to objects that
+occur more than once, so a run's bytes depend only on its values.
+Marshal's format is tied to the interpreter and is not hardened against
+hostile input; the engine writes and reads its runs itself, within one
+job, in the store's node-local directories.
 
 A map task buffers values per key and writes one run of sorted groups per
 partition at ``spill_pairs`` buffered values (a spill) and at the end (the
-final run), applying the combiner, if any, once per key at each write. The
+final run), applying the combiner, if any, at each write to every key with
+two or more buffered values (a lone value is written as it is). The
 buffer is filled from the key groups of the mapper's split form (see
 ``registry``), with the spill check after each group. Its spills and final
 run are its output: the only merge is the reducer's k-way merge over every
@@ -31,27 +35,34 @@ from typing import Callable, Iterable, Iterator
 
 from .dfs import Cluster, InputSplit
 from .errors import NotFound, ShuffleSourceLost
-from .hashing import partition_for_key
+from .hashing import partitions_for_keys
 from .jobtypes import SPILL_PAIRS
 
 Group = tuple[bytes, list[bytes]]
 
 # A frame is cut once its groups' key and value bytes, plus 8 per value for
-# the list slot each value takes when decoded, reach this bound. On the
-# 6 MiB uncombined wordcount of perfbench's wc-shuffle (Python 3.11, glibc),
-# a 64 KiB bound left the process's peak RSS ~6 MiB higher than 32 KiB did.
+# the list slot each value takes when decoded, reach this bound; a group of
+# one value repeated is decoded as one shared object, so its value's bytes
+# count once, its slots once per value. On the 6 MiB uncombined wordcount of
+# perfbench's wc-shuffle (Python 3.11, glibc), a 64 KiB bound left the
+# process's peak RSS ~6 MiB higher than 32 KiB did.
 FRAME_BYTES = 32 << 10
 
 
 def write_run(sink, groups: Iterable[Group]) -> int:
     """Serialize (key, values) groups to a run file as frames; returns the
     pair count. A key or value that is not bytes-like raises TypeError."""
-    frame: list[Group] = []
+    frame: list[tuple] = []
     size = count = 0
     for k, vs in groups:
-        frame.append((k, vs))
-        size += len(b"" + k) + len(b"".join(vs)) + 8 * len(vs)
-        count += len(vs)
+        n = len(vs)
+        if n > 1 and vs[-1] == (v := vs[0]) and vs.count(v) == n:
+            frame.append((k, v, n))
+            size += len(b"" + k) + len(b"" + v) + 8 * n
+        else:
+            frame.append((k, vs))
+            size += len(b"" + k) + len(b"".join(vs)) + 8 * n
+        count += n
         if size >= FRAME_BYTES:
             _write_frame(sink, frame)
             frame, size = [], 0
@@ -60,7 +71,7 @@ def write_run(sink, groups: Iterable[Group]) -> int:
     return count
 
 
-def _write_frame(sink, frame: list[Group]) -> None:
+def _write_frame(sink, frame: list[tuple]) -> None:
     body = marshal.dumps(frame, 2)
     sink.write(len(body).to_bytes(8, "little"))
     sink.write(body)
@@ -68,7 +79,7 @@ def _write_frame(sink, frame: list[Group]) -> None:
 
 def iter_run(f) -> Iterator[Group]:
     """Stream (key, values) groups back out of a run file, holding one
-    decoded frame in memory."""
+    decoded frame in memory; a repeated value comes back as ``[v] * n``."""
     while head := f.read(8):
         if len(head) < 8:
             raise ValueError("truncated run file")
@@ -76,7 +87,12 @@ def iter_run(f) -> Iterator[Group]:
         body = f.read(size)
         if len(body) < size:
             raise ValueError("truncated run file")
-        yield from marshal.loads(body)
+        for group in marshal.loads(body):
+            if len(group) == 2:
+                yield group
+            else:
+                k, v, n = group
+                yield k, [v] * n
 
 
 def run_name(job_id: str, task_id: str, attempt: int, partition: int) -> str:
@@ -109,9 +125,9 @@ def run_map_task(
     after each group, as one spill run ``<run>.spill<i>`` per non-empty
     partition, and at the end as the final run ``run_name(...)`` of every
     partition, empty or not. The combiner, if any, is applied once per key
-    at each write; a run is published only once written whole. Memory is
-    the split form's own state plus the spill buffer, plus the bytes of the
-    run being written.
+    with two or more values at each write; a run is published only once
+    written whole. Memory is the split form's own state plus the spill
+    buffer, plus the bytes of the run being written.
     Returns (each partition's run names on ``node``, skipped records), the
     skip count being the split form's return value or 0; the names are in
     spill order, which is emission order, final run last.
@@ -129,8 +145,9 @@ def run_map_task(
         nonlocal buffer
         d, buffer = buffer, {}
         keys: list[list[bytes]] = [[] for _ in range(num_reducers)]
-        for k in sorted(d):
-            keys[partition_for_key(k, num_reducers)].append(k)
+        ordered = sorted(d)
+        for k, p in zip(ordered, partitions_for_keys(ordered, num_reducers)):
+            keys[p].append(k)
         for p, ks in enumerate(keys):
             if not (ks or final):
                 continue
@@ -139,9 +156,20 @@ def run_map_task(
                 name = f"{name}.spill{len(runs[p])}"
             sink = store.open_local_write(node, name)
             write_run(sink, ((k, d[k]) for k in ks) if combiner is None else
-                      ((ck, [cv]) for k in ks for ck, cv in combiner(k, d[k])))
+                      combined(d, ks))
             sink.close()
             runs[p] += (name,)
+
+    def combined(d: dict[bytes, list[bytes]], ks: list[bytes]) -> Iterator[Group]:
+        """The groups of keys ``ks``, each key with two or more values
+        replaced by the combiner's pairs, each pair a group of one value."""
+        for k in ks:
+            vs = d[k]
+            if len(vs) == 1:
+                yield k, vs
+            else:
+                for ck, cv in combiner(k, vs):
+                    yield ck, [cv]
 
     groups = iter(mapper(cluster.read_split(split), combiner))
     while True:

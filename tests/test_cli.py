@@ -280,9 +280,10 @@ def test_unchanged_catalog_entry_describes_a_readable_file(tmp_path, capsysbinar
     _catalog_entry(offset=2), _catalog_entry(length=2), _catalog_entry(size=4, length=0),
     _catalog_entry(replicas=[]), _catalog_entry(replicas=[1, 1]),
     _catalog_entry(replicas=[9]),
+    json.dumps({**json.loads(_catalog_entry()), "file_id": "x"}),
 ], ids=["truncated", "empty-object", "wrong-type", "negative-size", "size-past-chunks",
         "wrong-index", "wrong-offset", "short-chunk", "empty-chunk", "no-replicas",
-        "repeated-replica", "replica-out-of-range"])
+        "repeated-replica", "replica-out-of-range", "wrong-file-id"])
 @pytest.mark.parametrize("argv", [
     ["dfs", "ls"],
     ["dfs", "get", "in"],

@@ -29,7 +29,7 @@ from minimapred import (
     submit_job,
 )
 from minimapred.executors import make_executor
-from minimapred.hashing import fnv1a64, partition_for_key
+from minimapred.hashing import fnv1a64, partitions_for_keys
 from minimapred.schedule import plan_map_tasks, plan_reduce_tasks, schedule
 from minimapred.tasks import (
     group_by_key,
@@ -67,12 +67,28 @@ def test_fnv1a64_known_vectors():
 
 
 def test_partition_r1_always_zero():
-    for key in (b"", b"a", b"some longer key"):
-        assert partition_for_key(key, 1) == 0
+    assert partitions_for_keys([b"", b"a", b"some longer key"], 1) == [0, 0, 0]
 
 
 def test_partition_is_pure():
-    assert partition_for_key(b"k", 7) == partition_for_key(b"k", 7)
+    assert partitions_for_keys([b"k"], 7) == partitions_for_keys([b"k"], 7)
+
+
+@settings(max_examples=40, deadline=None)
+@given(pool=st.lists(st.binary(max_size=40), min_size=1, max_size=20),
+       count=st.integers(0, 2600), reducers=st.integers(1, 7),
+       rng=st.randoms(use_true_random=False))
+def test_batched_partitions_equal_fnv1a64_per_key(pool, count, reducers, rng):
+    # drawing from a small pool repeats keys, and puts more than one batch
+    # of 1024 keys of one length in a long list
+    keys = [rng.choice(pool) for _ in range(count)] + pool
+    assert partitions_for_keys(keys, reducers) == [fnv1a64(k) % reducers for k in keys]
+
+
+def test_batched_partitions_of_distinct_keys_past_one_batch():
+    rng = random.Random(7)
+    keys = list({rng.randbytes(rng.choice([3, 9])) for _ in range(3000)})
+    assert partitions_for_keys(keys, 5) == [fnv1a64(k) % 5 for k in keys]
 
 
 def test_partition_spread_on_random_keys():
@@ -80,8 +96,8 @@ def test_partition_spread_on_random_keys():
     keys = {bytes(rng.randrange(256) for _ in range(12)) for _ in range(11000)}
     keys = list(keys)[:10000]
     counts = [0, 0, 0, 0]
-    for k in keys:
-        counts[partition_for_key(k, 4)] += 1
+    for p in partitions_for_keys(keys, 4):
+        counts[p] += 1
     assert all(c >= 0.15 * len(keys) for c in counts)
 
 
@@ -249,6 +265,72 @@ def test_iter_run_reads_one_header_or_frame_at_a_time(monkeypatch):
     assert f.sizes == [n for body in bodies for n in (8, body)] + [8]
 
 
+def _fresh(value: bytes) -> bytes:
+    """An equal bytes object; a new one unless CPython caches it (b"", one byte)."""
+    return bytes(bytearray(value))
+
+
+# a group's values as (value, times, fresh) runs: one shared object repeated,
+# or that many separate equal objects
+_value_runs = st.lists(
+    st.tuples(st.sampled_from([b"", b"1", b"xy", b"a longer value"]),
+              st.integers(1, 5), st.booleans()),
+    min_size=1, max_size=4)
+_run_groups = st.lists(st.tuples(st.sampled_from([b"", b"k", b"key"]), _value_runs),
+                       max_size=8)
+
+
+def _expand(runs):
+    return [_fresh(v) if fresh else v for v, times, fresh in runs for _ in range(times)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(drawn=_run_groups, frame_bytes=st.sampled_from([1, 20, 32 << 10]))
+def test_run_roundtrip_with_repeated_lone_and_empty_values(drawn, frame_bytes):
+    groups = [(k, _expand(runs)) for k, runs in drawn]
+    buf = io.BytesIO()
+    with mock.patch("minimapred.tasks.FRAME_BYTES", frame_bytes):
+        assert write_run(buf, groups) == sum(len(vs) for _, vs in groups)
+    decoded = list(iter_run(io.BytesIO(buf.getvalue())))
+    assert decoded == groups
+    for _, vs in decoded:  # a repeated value decodes as one shared object
+        if len(vs) > 1 and vs.count(vs[0]) == len(vs):
+            assert all(v is vs[0] for v in vs)
+
+
+@settings(max_examples=100, deadline=None)
+@given(drawn=_run_groups)
+def test_run_bytes_do_not_depend_on_value_identity(drawn):
+    def run(values_of):
+        buf = io.BytesIO()
+        write_run(buf, [(k, values_of(runs)) for k, runs in drawn])
+        return buf.getvalue()
+
+    shared = run(lambda runs: [v for v, times, _ in runs for _ in range(times)])
+    fresh = run(lambda runs: [_fresh(v) for v, times, _ in runs for _ in range(times)])
+    assert shared == fresh == run(_expand)
+
+
+def test_repeated_non_bytes_value_fails_at_the_run_write():
+    with pytest.raises(TypeError):
+        write_run(io.BytesIO(), [(b"k", ["1", "1"])])
+
+
+def test_hot_key_run_is_small_and_decodes_at_a_slot_per_value():
+    n = 10**6
+    buf = io.BytesIO()
+    assert write_run(buf, [(b"hot", [b"1"] * n)]) == n
+    assert len(buf.getvalue()) < 1024
+    tracemalloc.start()
+    try:
+        [(key, values)] = iter_run(io.BytesIO(buf.getvalue()))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert key == b"hot" and len(values) == n and values.count(b"1") == n
+    assert peak < 9 * n  # 8 bytes of list slot per value, plus a little
+
+
 @pytest.mark.parametrize("value", ["1", 1])
 def test_non_bytes_mapper_value_fails_at_the_run_write(value):
     c, split = _single_line_cluster(b"alpha beta")
@@ -260,7 +342,8 @@ def test_non_bytes_mapper_value_fails_at_the_run_write(value):
 
 @pytest.mark.parametrize("key", ["alpha", 1])
 def test_non_bytes_combiner_key_fails_at_the_run_write(key):
-    c, split = _single_line_cluster(b"alpha beta")
+    # "alpha" has two values, so the combiner runs on it
+    c, split = _single_line_cluster(b"alpha beta alpha")
     with pytest.raises(TypeError) as exc:
         run_map_task(c, "j", "map-0", 0, 0, split, per_record(wordcount_map),
                      lambda k, vs: [(key, b"1")], 1)
@@ -271,7 +354,8 @@ def test_non_bytes_combiner_key_fails_at_the_run_write(key):
 def test_map_task_whose_combiner_raises_publishes_no_run(kind, tmp_path):
     config = ClusterConfig(num_nodes=2, chunk_size=8192, replication=1, seed=3)
     c = Cluster(config) if kind == "memory" else Cluster.open_disk(str(tmp_path / "s"), config)
-    [split] = c.make_splits(c.put_file("in", b"alpha beta"))
+    # "alpha" has two values, so the combiner runs on it
+    [split] = c.make_splits(c.put_file("in", b"alpha beta alpha"))
 
     def combiner(key, values):
         raise RuntimeError("combiner failed")
@@ -281,6 +365,24 @@ def test_map_task_whose_combiner_raises_publishes_no_run(kind, tmp_path):
     with pytest.raises(NotFound):
         c.store.open_local_read(0, run_name("j", "map-0", 0, 0))
     assert oracles.local_leftovers(c) == []
+
+
+@pytest.mark.parametrize("spill_pairs", [2, 10**9])
+def test_combiner_runs_only_on_keys_with_two_or_more_buffered_values(spill_pairs):
+    calls = []
+
+    def combiner(key, values):
+        calls.append((key, list(values)))
+        return [(key, b"+".join(values))]
+
+    # per_record hands on a:[1, 3, 5], b:[2], c:[4]; with spill_pairs 2,
+    # a is written alone in a spill and b and c in the final run
+    c, split = _single_line_cluster(b"a=1 b=2 a=3\nc=4 a=5\n")
+    runs, _ = run_map_task(c, "j", "map-0", 0, 0, split, per_record(_emissions_map),
+                           combiner, 1, spill_pairs)
+    assert calls == [(b"a", [b"1", b"3", b"5"])]
+    assert read_run_groups(c, 0, runs[0]) == [
+        (b"a", [b"1+3+5"]), (b"b", [b"2"]), (b"c", [b"4"])]
 
 
 def _single_line_cluster(line: bytes):
@@ -572,7 +674,7 @@ def test_per_record_groups_runs_and_counts_skips(rows, spill_pairs, reducers, wi
     for p, names in enumerate(runs):
         assert [".spill" in n for n in names] == [True] * (len(names) - 1) + [False]
         assert list(group_by_key(read_run_groups(c, 0, names))) == [
-            (k, vs) for k, vs in expected.items() if partition_for_key(k, reducers) == p]
+            (k, vs) for k, vs in expected.items() if fnv1a64(k) % reducers == p]
 
 
 # ---------------------------------------------------------------------------
