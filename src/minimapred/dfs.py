@@ -73,7 +73,8 @@ class FileMeta:
     chunks: tuple[Chunk, ...]
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
+        # the bytes of json.dumps(asdict(self), sort_keys=True), without its deep copy
+        return json.dumps({**vars(self), "chunks": [vars(c) for c in self.chunks]}, sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "FileMeta":
@@ -160,106 +161,163 @@ class _LocalSink(NamedTuple):
     close: Callable[[], None]
 
 
-class MemoryStore:
-    """In-process store; usable only with serial/thread execution."""
+class _Store:
+    """The store's logic, written once over a backend's byte primitives.
 
-    kind = "memory"
+    Objects have slash-separated keys: ``node<N>/<chunk file_id>.<k>`` for
+    chunk replicas, ``meta/<file_id>.json`` for the catalog,
+    ``node<N>/local/<name>`` for node-local intermediate data (map output
+    runs, not replicated) and ``node<N>/DEAD`` for the marker of the node's
+    death. The store still serves a dead node's bytes; ``Cluster`` and
+    ``shuffle_fetch`` check the marker before reading.
 
-    def __init__(self):
-        self._chunks: dict[tuple[int, str, int], bytes] = {}
-        self._local: dict[tuple[int, str], bytes] = {}
-        self._metas: dict[str, FileMeta] = {}  # keyed by file_id
-        self._dead: set[int] = set()
-        self._lock = threading.Lock()
+    A backend implements ``_put(key, data)``, which publishes the bytes
+    whole; ``_get(key, lo=0, hi=None)``, bytes [lo, hi) of an object, and
+    ``_open(key)``, a binary reader of it, both raising FileNotFoundError
+    for a missing key; ``_exists(key)``; ``_delete(key)``, a no-op for a
+    missing key; ``_names(prefix)``, the names of the objects under the
+    directory ``prefix``; and ``_delete_tree(prefix)``.
+    """
+
+    num_nodes: int  # every catalog replica is below it
+
+    def __init_subclass__(cls, **kwargs):
+        # Each backend holds the shared methods in its own namespace, so
+        # perfbench's tracer patches and restores them class by class.
+        # ROADMAP.md item 3 (the tracer's patches retired) deletes this hook.
+        super().__init_subclass__(**kwargs)
+        for name, value in vars(_Store).items():
+            if not name.startswith("_") and name not in vars(cls):
+                setattr(cls, name, value)
 
     # liveness
     def mark_dead(self, node: int) -> None:
-        with self._lock:
-            self._dead.add(node)
+        self._put(f"node{node}/DEAD", b"")
 
     def is_dead(self, node: int) -> bool:
-        return node in self._dead
+        return self._exists(f"node{node}/DEAD")
 
-    # chunk data
+    # chunk replicas
     def write_chunk(self, node: int, file_id: str, index: int, data: bytes) -> None:
-        with self._lock:
-            self._chunks[(node, file_id, index)] = bytes(data)
+        self._put(f"node{node}/{file_id}.{index}", data)
 
     def read_chunk(self, node: int, file_id: str, index: int,
                    lo: int = 0, hi: int | None = None) -> bytes:
-        """Bytes [lo, hi) of the chunk, the whole chunk by default; a range
-        covering the whole chunk returns the stored object, not a copy."""
-        return self._chunks[(node, file_id, index)][lo:hi]
+        """Bytes [lo, hi) of the chunk, the whole chunk by default."""
+        return self._get(f"node{node}/{file_id}.{index}", lo, hi)
 
     def delete_chunk(self, node: int, file_id: str, index: int) -> None:
-        with self._lock:
-            self._chunks.pop((node, file_id, index), None)
+        self._delete(f"node{node}/{file_id}.{index}")
 
     # catalog
     def put_meta(self, meta: FileMeta) -> None:
-        with self._lock:
-            self._metas[meta.file_id] = meta
+        self._put(f"meta/{meta.file_id}.json", meta.to_json().encode())
+
+    def _read_meta(self, key: str) -> FileMeta:
+        """The catalog entry at ``key``; a garbled one raises InvalidConfig."""
+        text = self._get(key)
+        try:
+            meta = FileMeta.from_json(text)
+            nodes = {n for c in meta.chunks for n in c.replicas}
+            if not nodes <= set(range(self.num_nodes)):
+                raise InvalidConfig(f"catalog replicas must be in [0, {self.num_nodes})")
+            if key != f"meta/{meta.file_id}.json" or meta.file_id != file_id_for(meta.path):
+                raise InvalidConfig(f"catalog file id {meta.file_id!r} names neither "
+                                    f"the entry's key nor its path")
+            return meta
+        except (ValueError, KeyError, TypeError, InvalidConfig) as e:
+            raise InvalidConfig(f"unreadable catalog entry {key!r}: {e!r}") from None
 
     def get_meta_by_id(self, file_id: str) -> FileMeta | None:
-        return self._metas.get(file_id)
+        try:
+            return self._read_meta(f"meta/{file_id}.json")
+        except FileNotFoundError:
+            return None
 
     def get_meta(self, path: str) -> FileMeta | None:
-        return self._metas.get(file_id_for(path))
+        return self.get_meta_by_id(file_id_for(path))
 
     def list_metas(self) -> list[FileMeta]:
-        return sorted(self._metas.values(), key=lambda m: m.path)
+        return sorted((self._read_meta(f"meta/{name}") for name in self._names("meta")
+                       if name.endswith(".json")), key=lambda m: m.path)
 
-    # node-local data (map output runs); not replicated
+    # node-local data
     def open_local_write(self, node: int, name: str) -> _LocalSink:
+        key = f"node{node}/local/{name}"
         buf = io.BytesIO()
-
-        def publish():
-            with self._lock:
-                self._local[(node, name)] = buf.getvalue()  # buf's bytes, no copy
-
-        return _LocalSink(buf.write, publish)
+        return _LocalSink(buf.write, lambda: self._put(key, buf.getvalue()))
 
     def open_local_read(self, node: int, name: str):
         try:
-            return io.BytesIO(self._local[(node, name)])
-        except KeyError:
+            return self._open(f"node{node}/local/{name}")
+        except FileNotFoundError:
             raise NotFound(f"node {node} has no local object {name!r}") from None
 
     def delete_local(self, node: int, name: str) -> None:
-        with self._lock:
-            self._local.pop((node, name), None)
+        self._delete(f"node{node}/local/{name}")
 
     def delete_local_tree(self, node: int, prefix: str) -> None:
         """Delete the node's local objects under the directory ``prefix``."""
+        self._delete_tree(f"node{node}/local/{prefix}")
+
+
+class MemoryStore(_Store):
+    """In-process store over one dict; usable only with serial/thread
+    execution. A full-range ``read_chunk`` returns the stored object, not a
+    copy."""
+
+    kind = "memory"
+
+    def __init__(self, num_nodes: int):
+        self.num_nodes = num_nodes
+        self._objects: dict[str, bytes] = {}
+        self._lock = threading.Lock()
+
+    def _put(self, key: str, data: bytes) -> None:
         with self._lock:
-            for key in [k for k in self._local
-                        if k[0] == node and k[1].startswith(prefix + "/")]:
-                del self._local[key]
+            self._objects[key] = bytes(data)  # no copy of a bytes object
+
+    def _get(self, key: str, lo: int = 0, hi: int | None = None) -> bytes:
+        try:
+            return self._objects[key][lo:hi]
+        except KeyError:
+            raise FileNotFoundError(key) from None
+
+    def _open(self, key: str) -> io.BytesIO:
+        return io.BytesIO(self._get(key))
+
+    def _exists(self, key: str) -> bool:
+        return key in self._objects
+
+    def _delete(self, key: str) -> None:
+        with self._lock:
+            self._objects.pop(key, None)
+
+    def _names(self, prefix: str) -> list[str]:
+        with self._lock:
+            return [k[len(prefix) + 1:] for k in self._objects if k.startswith(prefix + "/")]
+
+    def _delete_tree(self, prefix: str) -> None:
+        for name in self._names(prefix):
+            self._delete(f"{prefix}/{name}")
 
 
-class DiskStore:
-    """On-disk store; layout is ``<root>/node<N>/<chunk file_id>.<k>``
-    for chunk replicas, ``<root>/meta/<file_id>.json`` for the catalog, and
-    ``<root>/node<N>/local/...`` for node-local intermediate data. Each file
-    is published whole by ``_atomic_write``, a run when its sink closes. A
-    ``<root>/node<N>/DEAD`` marker records the node's death for every
-    handle, including those of concurrently running worker processes; the
-    store itself still serves the node's bytes, and ``Cluster`` and
-    ``shuffle_fetch`` check the marker before reading."""
+class DiskStore(_Store):
+    """On-disk store: the object at key ``k`` is the file ``<root>/k``,
+    published whole by rename, so every handle sees the same objects,
+    including the handles of concurrently running worker processes."""
 
     kind = "disk"
 
     def __init__(self, root: str, num_nodes: int):
         self.root = os.path.abspath(root)
-        self.num_nodes = num_nodes  # every catalog replica is below it
+        self.num_nodes = num_nodes
         os.makedirs(os.path.join(self.root, "meta"), exist_ok=True)
 
-    def _node_dir(self, node: int) -> str:
-        return os.path.join(self.root, f"node{node}")
-
-    def _atomic_write(self, path: str, data: bytes) -> None:
-        """Publish ``data`` at ``path`` whole, by rename; makes its directory.
-        A write that fails removes its temp file before the error propagates."""
+    def _put(self, key: str, data: bytes) -> None:
+        """Publish ``data`` at ``key`` by rename; makes its directory. A
+        write that fails removes its temp file before the error propagates."""
+        path = os.path.join(self.root, key)
         os.makedirs(os.path.dirname(path), exist_ok=True)
         tmp = f"{path}.tmp{uuid.uuid4().hex}"  # unique per writer, not per process
         try:
@@ -271,97 +329,27 @@ class DiskStore:
                 os.remove(tmp)
             raise
 
-    # liveness
-    def mark_dead(self, node: int) -> None:
-        self._atomic_write(os.path.join(self._node_dir(node), "DEAD"), b"")
-
-    def is_dead(self, node: int) -> bool:
-        return os.path.exists(os.path.join(self._node_dir(node), "DEAD"))
-
-    # chunk data
-    def _chunk_path(self, node: int, file_id: str, index: int) -> str:
-        return os.path.join(self._node_dir(node), f"{file_id}.{index}")
-
-    def write_chunk(self, node: int, file_id: str, index: int, data: bytes) -> None:
-        self._atomic_write(self._chunk_path(node, file_id, index), data)
-
-    def read_chunk(self, node: int, file_id: str, index: int,
-                   lo: int = 0, hi: int | None = None) -> bytes:
-        """Bytes [lo, hi) of the chunk, the whole chunk by default."""
-        with open(self._chunk_path(node, file_id, index), "rb") as f:
+    def _get(self, key: str, lo: int = 0, hi: int | None = None) -> bytes:
+        with open(os.path.join(self.root, key), "rb") as f:
             if lo:
                 f.seek(lo)
             return f.read() if hi is None else f.read(max(0, hi - lo))
 
-    def delete_chunk(self, node: int, file_id: str, index: int) -> None:
-        try:
-            os.remove(self._chunk_path(node, file_id, index))
-        except FileNotFoundError:
-            pass
+    def _open(self, key: str):
+        return open(os.path.join(self.root, key), "rb")
 
-    # catalog
-    def _meta_path(self, file_id: str) -> str:
-        return os.path.join(self.root, "meta", f"{file_id}.json")
+    def _exists(self, key: str) -> bool:
+        return os.path.exists(os.path.join(self.root, key))
 
-    def put_meta(self, meta: FileMeta) -> None:
-        self._atomic_write(self._meta_path(meta.file_id), meta.to_json().encode())
+    def _delete(self, key: str) -> None:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(os.path.join(self.root, key))
 
-    def _read_meta(self, path: str) -> FileMeta:
-        """The catalog entry at ``path``; a garbled one raises InvalidConfig."""
-        with open(path, "rb") as f:
-            text = f.read()
-        try:
-            meta = FileMeta.from_json(text)
-            nodes = {n for c in meta.chunks for n in c.replicas}
-            if not nodes <= set(range(self.num_nodes)):
-                raise InvalidConfig(f"catalog replicas must be in [0, {self.num_nodes})")
-            if (os.path.basename(path) != f"{meta.file_id}.json"
-                    or meta.file_id != file_id_for(meta.path)):
-                raise InvalidConfig(f"catalog file id {meta.file_id!r} names neither "
-                                    f"the entry's file nor its path")
-            return meta
-        except (ValueError, KeyError, TypeError, InvalidConfig) as e:
-            raise InvalidConfig(f"unreadable catalog entry {path!r}: {e!r}") from None
+    def _names(self, prefix: str) -> list[str]:
+        return os.listdir(os.path.join(self.root, prefix))
 
-    def get_meta_by_id(self, file_id: str) -> FileMeta | None:
-        try:
-            return self._read_meta(self._meta_path(file_id))
-        except FileNotFoundError:
-            return None
-
-    def get_meta(self, path: str) -> FileMeta | None:
-        return self.get_meta_by_id(file_id_for(path))
-
-    def list_metas(self) -> list[FileMeta]:
-        metas = []
-        for name in os.listdir(os.path.join(self.root, "meta")):
-            if name.endswith(".json"):
-                metas.append(self._read_meta(os.path.join(self.root, "meta", name)))
-        return sorted(metas, key=lambda m: m.path)
-
-    # node-local data
-    def _local_path(self, node: int, name: str) -> str:
-        return os.path.join(self._node_dir(node), "local", *name.split("/"))
-
-    def open_local_write(self, node: int, name: str) -> _LocalSink:
-        path = self._local_path(node, name)
-        buf = io.BytesIO()
-        return _LocalSink(buf.write, lambda: self._atomic_write(path, buf.getvalue()))
-
-    def open_local_read(self, node: int, name: str):
-        try:
-            return open(self._local_path(node, name), "rb")
-        except FileNotFoundError:
-            raise NotFound(f"node {node} has no local object {name!r}") from None
-
-    def delete_local(self, node: int, name: str) -> None:
-        try:
-            os.remove(self._local_path(node, name))
-        except FileNotFoundError:
-            pass
-
-    def delete_local_tree(self, node: int, prefix: str) -> None:
-        shutil.rmtree(self._local_path(node, prefix), ignore_errors=True)
+    def _delete_tree(self, prefix: str) -> None:
+        shutil.rmtree(os.path.join(self.root, prefix), ignore_errors=True)
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +368,7 @@ class Cluster:
 
     def __init__(self, config: ClusterConfig, store=None):
         self.config = config
-        self.store = store if store is not None else MemoryStore()
+        self.store = store if store is not None else MemoryStore(config.num_nodes)
 
     # -- construction ------------------------------------------------------
 
@@ -411,12 +399,13 @@ class Cluster:
         if config is None:
             raise NotFound(f"store {root!r} not found: it has no {_CONFIG_FILE}")
         store = DiskStore(root, config.num_nodes)
-        store._atomic_write(cfg_path, json.dumps(config.to_dict()).encode())
+        store._put(_CONFIG_FILE, json.dumps(config.to_dict()).encode())
         return cls(config, store)
 
     # -- liveness ----------------------------------------------------------
 
     def mark_node_dead(self, node: int) -> None:
+        require_ints("node ids", node)
         if not 0 <= node < self.config.num_nodes:
             raise InvalidConfig(f"node {node} out of range")
         self.store.mark_dead(node)

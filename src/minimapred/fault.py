@@ -27,6 +27,9 @@ class FailureEvent:
     after_task: str | None = None
 
     def __post_init__(self):
+        # not isinstance: True is an int, and would kill node 1
+        if type(self.node_id) is not int or type(self.tick) not in (int, type(None)):
+            raise InvalidPlan(f"node_id and tick must be integers: {self.node_id!r}, {self.tick!r}")
         if (self.tick is None) == (self.after_task is None):
             raise InvalidPlan("event needs exactly one trigger: tick or after_task")
         if self.tick is not None and self.tick < 0:

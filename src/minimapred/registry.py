@@ -5,7 +5,9 @@ process-based workers. Combiners must be declared associative and
 commutative; the engine refuses undeclared ones. A combiner is an optional
 partial merge: the engine may run it zero or more times per key, never on
 a key with a lone value, so the reducer must give the same output whether
-or not a combiner has seen the values.
+or not a combiner has seen the values. A combiner returns pairs for the key
+it was given: the engine has already partitioned and sorted that key, and a
+map task whose combiner returns another key fails.
 
 The engine runs every mapper through its *split form*: the one registered
 with it, or else ``per_record`` of the record mapper. It is called as

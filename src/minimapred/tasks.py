@@ -162,13 +162,17 @@ def run_map_task(
 
     def combined(d: dict[bytes, list[bytes]], ks: list[bytes]) -> Iterator[Group]:
         """The groups of keys ``ks``, each key with two or more values
-        replaced by the combiner's pairs, each pair a group of one value."""
+        replaced by the combiner's pairs, each pair a group of one value; a
+        pair of another bytes key raises ValueError, since only ``k`` was
+        partitioned and sorted (a non-bytes key fails at the run write)."""
         for k in ks:
             vs = d[k]
             if len(vs) == 1:
                 yield k, vs
             else:
                 for ck, cv in combiner(k, vs):
+                    if isinstance(ck, bytes) and ck != k:
+                        raise ValueError(f"combiner returned key {ck!r} for key {k!r}")
                     yield ck, [cv]
 
     groups = iter(mapper(cluster.read_split(split), combiner))

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import os
+import re
 from collections import Counter
 from dataclasses import dataclass
 
@@ -91,6 +92,9 @@ def parse_parts(cluster, part_paths: list[str]) -> dict[bytes, bytes]:
     return out
 
 
+_CHUNK_KEY = re.compile(r"node(\d+)/([^/]+)\.(\d+)")
+
+
 def store_problems(cluster) -> list[tuple[str, int, str, int]]:
     """What breaks the store's one write rule, as sorted (problem, node,
     chunk file_id, chunk index) tuples: ``"missing"`` for a replica the
@@ -98,14 +102,15 @@ def store_problems(cluster) -> list[tuple[str, int, str, int]]:
     no catalog entry lists, and ``"stray"`` for any other file in a node
     directory, such as the temp file of a failed write, with the file's name
     in place of the chunk id and index -1. The stored chunks are read from
-    the backend itself: the memory store's chunk keys, or the disk store's
-    ``node<N>/<chunk file_id>.<k>`` files."""
+    the backend itself: the memory store's ``node<N>/<chunk file_id>.<k>``
+    keys, or the disk store's files of the same names."""
     listed = {(node, ch.file_id, ch.index) for meta in cluster.list_files()
               for ch in meta.chunks for node in ch.replicas}
     store = cluster.store
     strays = []
     if store.kind == "memory":
-        stored = set(store._chunks)
+        stored = {(int(m[1]), m[2], int(m[3]))
+                  for m in map(_CHUNK_KEY.fullmatch, store._objects) if m}
     else:
         stored = set()
         for node_dir in os.listdir(store.root):
@@ -124,14 +129,17 @@ def store_problems(cluster) -> list[tuple[str, int, str, int]]:
                   + [("unlisted", *r) for r in stored - listed] + strays)
 
 
+_LOCAL_KEY = re.compile(r"node(\d+)/local/(.+)")
+
+
 def local_leftovers(cluster) -> list[tuple[int, str]]:
     """The node-local objects still stored, as sorted (node, name) pairs:
-    the memory store's local keys, or every file under the disk store's
-    ``node<N>/local/``, temp files included, named by its path below
-    ``local/`` with ``/`` separators."""
+    the memory store's ``node<N>/local/<name>`` keys, or every file under
+    the disk store's ``node<N>/local/``, temp files included, named by its
+    path below ``local/`` with ``/`` separators."""
     store = cluster.store
     if store.kind == "memory":
-        return sorted(store._local)
+        return sorted((int(m[1]), m[2]) for m in map(_LOCAL_KEY.fullmatch, store._objects) if m)
     found = []
     for node_dir in os.listdir(store.root):
         if not node_dir.startswith("node"):

@@ -1,5 +1,6 @@
 """Storage layer: chunking, placement, replicas, splits, record reading."""
 
+import functools
 import gc
 import itertools
 import json
@@ -23,15 +24,38 @@ from minimapred.dfs import DiskStore, FileMeta, MemoryStore, file_id_for, part_f
 import oracles
 
 
-def cluster(nodes=3, chunk=40, repl=2, seed=7, store=None):
-    return Cluster(ClusterConfig(num_nodes=nodes, chunk_size=chunk,
-                                 replication=repl, seed=seed), store)
+def cluster(nodes=3, chunk=40, repl=2, seed=7, kind="memory", root=None):
+    """A cluster on a memory store, or on a disk store in a new directory
+    under ``root``."""
+    config = ClusterConfig(num_nodes=nodes, chunk_size=chunk, replication=repl, seed=seed)
+    if kind == "memory":
+        return Cluster(config)
+    return Cluster.open_disk(tempfile.mkdtemp(dir=root), config)
+
+
+def on_both_stores(test):
+    """Run ``test`` as written, once per store kind: each ``cluster()`` it
+    calls is built on that kind of store. A failure names the kind."""
+    make = cluster
+
+    @functools.wraps(test)
+    def both(*args, **kwargs):
+        for kind in ("memory", "disk"):
+            with tempfile.TemporaryDirectory() as root, pytest.MonkeyPatch.context() as mp:
+                mp.setitem(globals(), "cluster", functools.partial(make, kind=kind, root=root))
+                try:
+                    test(*args, **kwargs)
+                except BaseException as e:
+                    e.add_note(f"on the {kind} store")
+                    raise
+    return both
 
 
 # ---------------------------------------------------------------------------
 # put_file / get_file
 
 
+@on_both_stores
 def test_100_byte_file_makes_three_chunks():
     c = cluster(nodes=3, chunk=40, repl=2)
     meta = c.put_file("t", b"x" * 100)
@@ -41,6 +65,7 @@ def test_100_byte_file_makes_three_chunks():
         assert len(set(ch.replicas)) == 2
 
 
+@on_both_stores
 def test_empty_file_has_zero_chunks():
     c = cluster()
     meta = c.put_file("empty", b"")
@@ -49,6 +74,7 @@ def test_empty_file_has_zero_chunks():
     assert c.make_splits(meta) == []
 
 
+@on_both_stores
 def test_placement_is_deterministic_for_same_seed():
     data = os.urandom(500)
     first = cluster(seed=99).put_file("f", data)
@@ -91,6 +117,7 @@ def test_catalog_entry_of_wrong_types_rejected(text):
     assert FileMeta.from_json(_entry()).size == 4
 
 
+@on_both_stores
 def test_placement_changes_with_seed():
     data = b"y" * 300
     a = cluster(nodes=5, seed=1).put_file("f", data)
@@ -98,6 +125,7 @@ def test_placement_changes_with_seed():
     assert a.to_json() != b.to_json()  # start node rotates with the seed
 
 
+@on_both_stores
 def test_duplicate_path_rejected():
     c = cluster()
     c.put_file("dup", b"a")
@@ -122,11 +150,13 @@ def test_invalid_config_rejected(kwargs):
         ClusterConfig(**kwargs)
 
 
+@on_both_stores
 def test_get_unknown_path():
     with pytest.raises(NotFound):
         cluster().get_file("nope")
 
 
+@on_both_stores
 def test_unknown_file_id_and_node_rejected():
     c = cluster(nodes=4)
     with pytest.raises(NotFound):
@@ -135,6 +165,7 @@ def test_unknown_file_id_and_node_rejected():
         c.mark_node_dead(4)
 
 
+@on_both_stores
 def test_put_with_every_node_dead_stores_nothing():
     c = cluster(nodes=2)
     c.mark_node_dead(0)
@@ -144,6 +175,7 @@ def test_put_with_every_node_dead_stores_nothing():
     assert c.list_files() == []
 
 
+@on_both_stores
 def test_roundtrip_simple():
     c = cluster()
     data = bytes(range(256)) * 3
@@ -151,6 +183,7 @@ def test_roundtrip_simple():
     assert c.get_file("bin") == data
 
 
+@on_both_stores
 @settings(max_examples=50, deadline=None)
 @given(
     data=st.binary(max_size=2000),
@@ -170,6 +203,7 @@ def test_roundtrip_and_chunk_invariants(data, chunk, nodes):
         assert ch.length == chunk or ch.index == len(meta.chunks) - 1
 
 
+@on_both_stores
 def test_read_survives_one_dead_replica():
     c = cluster(nodes=3, chunk=40, repl=2)
     data = b"q" * 100
@@ -178,6 +212,7 @@ def test_read_survives_one_dead_replica():
     assert c.get_file("f") == data
 
 
+@on_both_stores
 def test_all_replicas_dead_reports_chunk_index():
     c = cluster(nodes=4, chunk=10, repl=2)
     meta = c.put_file("f", b"z" * 30)
@@ -188,6 +223,7 @@ def test_all_replicas_dead_reports_chunk_index():
     assert exc.value.chunk_index == 1
 
 
+@on_both_stores
 def test_read_range_matches_slice():
     c = cluster(nodes=3, chunk=7)
     data = bytes(range(100)) + b"tail"
@@ -198,7 +234,7 @@ def test_read_range_matches_slice():
 
 @pytest.mark.parametrize("kind", ["memory", "disk"])
 def test_ranged_read_chunk_matches_slice(kind, tmp_path):
-    store = MemoryStore() if kind == "memory" else DiskStore(str(tmp_path / "s"), 4)
+    store = MemoryStore(4) if kind == "memory" else DiskStore(str(tmp_path / "s"), 4)
     whole = bytes(range(50))
     store.write_chunk(1, "fid", 3, whole)
     assert store.read_chunk(1, "fid", 3) == whole
@@ -212,6 +248,7 @@ def test_ranged_read_chunk_matches_slice(kind, tmp_path):
 # splits and records
 
 
+@on_both_stores
 def test_one_split_per_chunk_tiling():
     c = cluster(nodes=3, chunk=40)
     meta = c.put_file("f", b"a" * 100)
@@ -222,6 +259,7 @@ def test_one_split_per_chunk_tiling():
         assert s.preferred_nodes == ch.replicas
 
 
+@on_both_stores
 def test_small_file_single_split():
     c = cluster(chunk=1024)
     meta = c.put_file("f", b"one\ntwo\n")
@@ -230,6 +268,7 @@ def test_small_file_single_split():
     assert (splits[0].start, splits[0].end) == (0, 8)
 
 
+@on_both_stores
 def test_full_split_reads_simple_records():
     c = cluster(chunk=64)
     meta = c.put_file("f", b"aa\nbb\n")
@@ -237,6 +276,7 @@ def test_full_split_reads_simple_records():
     assert list(dfs.records(c.read_split(split))) == [(0, b"aa"), (3, b"bb")]
 
 
+@on_both_stores
 def test_boundary_mid_record_ownership():
     # "aaa\nbb|bb\ncc" with the chunk boundary at "|": the record "bbbb"
     # starts in the first split and is read to completion there
@@ -247,6 +287,7 @@ def test_boundary_mid_record_ownership():
     assert [r.line for r in dfs.records(c.read_split(s1))] == [b"cc"]
 
 
+@on_both_stores
 def test_boundary_exactly_at_record_start():
     # split 1 starts exactly on a record boundary and must own that record
     c = cluster(nodes=3, chunk=4, repl=1)
@@ -256,6 +297,7 @@ def test_boundary_exactly_at_record_start():
     assert [r.line for r in dfs.records(c.read_split(s1))] == [b"bbb"]
 
 
+@on_both_stores
 def test_split_concat_equals_line_oracle():
     c = cluster(nodes=4, chunk=13)
     data = b"alpha\nbeta gamma\n\ndelta\nepsilon zeta eta\ntail-no-newline"
@@ -264,6 +306,7 @@ def test_split_concat_equals_line_oracle():
     assert got == oracles.split_lines(data)
 
 
+@on_both_stores
 @settings(max_examples=120, deadline=None)
 @given(
     lines=st.lists(st.binary(max_size=40).filter(lambda b: b"\n" not in b), max_size=30),
@@ -331,6 +374,7 @@ def test_block_scan_matches_oracle_disk(lines, trailing, chunk, block, tail):
         _check_block_scan(c, lines, trailing, block, tail)
 
 
+@on_both_stores
 def test_block_without_newline_cuts_the_long_record_only(monkeypatch):
     # the 20-byte record fills a whole 8-byte block with no newline in it;
     # the records after it must still be cut one by one
@@ -370,6 +414,7 @@ def test_split_reads_own_bytes_once(kind, tmp_path):
         assert [n for i, ci, n in reads if i == s.split_index and ci == s.split_index - 1] == [1]
 
 
+@on_both_stores
 @pytest.mark.parametrize("dead_chunk", [1, 2])
 def test_dead_tail_chunk_raises_instead_of_truncating(dead_chunk):
     # "b"*20 starts in chunk 0 and runs through chunks 1-3
@@ -389,6 +434,7 @@ def test_dead_tail_chunk_raises_instead_of_truncating(dead_chunk):
 # reducer output
 
 
+@on_both_stores
 def test_part_file_naming_and_format():
     c = cluster()
     c.write_output("job/out", 0, [(b"a", b"1")])
@@ -398,6 +444,7 @@ def test_part_file_naming_and_format():
     assert part_file_path("job/out", 0) == "job/out/part-r-00000"
 
 
+@on_both_stores
 def test_rewritten_part_replaces_content():
     c = cluster()
     c.write_output("o", 0, [(b"a", b"1")])
@@ -405,6 +452,7 @@ def test_rewritten_part_replaces_content():
     assert c.get_file("o/part-r-00000") == b"a\t2\nb\t3\n"
 
 
+@on_both_stores
 def test_part_survives_replica_node_death():
     c = cluster(nodes=4, repl=2)
     c.write_output("o", 0, [(b"k", b"v")])
@@ -478,6 +526,32 @@ def test_overwrite_interleaved_with_a_death_and_a_whole_overwrite(kind, tmp_path
     c.put_file("f", b"b" * 40, overwrite=True)
     assert _missing_replicas(c) == []
     assert c.get_file("f") == b"b" * 40
+
+
+@pytest.mark.parametrize("kind", ["memory", "disk"])
+@pytest.mark.parametrize("node", [True, 1.0, "1"])
+def test_node_id_of_wrong_type_kills_nothing(kind, node, tmp_path):
+    # True == 1: a memory store once marked node 1 dead, a disk store wrote nodeTrue/DEAD
+    c = _store_cluster(kind, tmp_path / "s")
+    with pytest.raises(InvalidConfig):
+        c.mark_node_dead(node)
+    assert c.live_nodes() == [0, 1, 2, 3]
+    assert not c.store.is_dead(node)
+
+
+@pytest.mark.parametrize("kind", ["memory", "disk"])
+@pytest.mark.parametrize("change", [
+    {"size": 5}, {"file_id": "0" * 16}, {"chunks": [{"file_id": "x", "index": 0, "offset": 0,
+                                                     "length": 4, "replicas": [4]}]},
+], ids=["size-past-chunks", "wrong-file-id", "replica-out-of-range"])
+def test_garbled_catalog_entry_rejected_on_both_stores(kind, change, tmp_path):
+    c = _store_cluster(kind, tmp_path / "s")
+    meta = c.put_file("f", b"data")
+    key = f"meta/{meta.file_id}.json"
+    c.store._put(key, json.dumps({**json.loads(meta.to_json()), **change}).encode())
+    for read in (lambda: c.meta("f"), lambda: c.meta_by_id(meta.file_id), c.list_files):
+        with pytest.raises(InvalidConfig, match=f"unreadable catalog entry '{key}'"):
+            read()
 
 
 @pytest.mark.parametrize("data", [b"data", b""], ids=["chunk", "meta"])
@@ -613,7 +687,7 @@ def test_disk_dead_marker_visible_to_new_handles(tmp_path):
 
 @pytest.mark.parametrize("kind", ["memory", "disk"])
 def test_delete_local_tree_spares_sibling_prefixes(kind, tmp_path):
-    store = MemoryStore() if kind == "memory" else DiskStore(str(tmp_path / "s"), 4)
+    store = MemoryStore(4) if kind == "memory" else DiskStore(str(tmp_path / "s"), 4)
     for name in ("runs/wc2/x", "runs/wc/x"):
         sink = store.open_local_write(0, name)
         sink.write(name.encode())

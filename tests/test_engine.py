@@ -367,6 +367,19 @@ def test_map_task_whose_combiner_raises_publishes_no_run(kind, tmp_path):
     assert oracles.local_leftovers(c) == []
 
 
+@pytest.mark.parametrize("kind", ["memory", "disk"])
+def test_combiner_returning_another_key_fails_and_publishes_no_run(kind, tmp_path):
+    # the key was partitioned and sorted before the combiner renamed it
+    config = ClusterConfig(num_nodes=2, chunk_size=8192, replication=1, seed=3)
+    c = Cluster(config) if kind == "memory" else Cluster.open_disk(str(tmp_path / "s"), config)
+    # "alpha" has two values, so the combiner runs on it
+    [split] = c.make_splits(c.put_file("in", b"alpha beta alpha"))
+    with pytest.raises(ValueError, match=r"key b'alpha!' for key b'alpha'"):
+        run_map_task(c, "j", "map-0", 0, 0, split, per_record(wordcount_map),
+                     lambda key, values: [(key + b"!", b"2")], 1)
+    assert oracles.local_leftovers(c) == []
+
+
 @pytest.mark.parametrize("spill_pairs", [2, 10**9])
 def test_combiner_runs_only_on_keys_with_two_or_more_buffered_values(spill_pairs):
     calls = []

@@ -64,6 +64,16 @@ def test_event_needs_exactly_one_trigger():
         FailureEvent(node_id=1, tick=2, after_task="map-0")
 
 
+@pytest.mark.parametrize("fields", [
+    dict(node_id=True, tick=1), dict(node_id=1.5, tick=0), dict(node_id="1", after_task="map-0"),
+    dict(node_id=1, tick=True), dict(node_id=1, tick=0.0),
+], ids=["bool-node", "float-node", "str-node", "bool-tick", "float-tick"])
+def test_event_of_wrong_types_rejected(fields):
+    # True == 1, so a bool node id would kill node 1 on a memory store
+    with pytest.raises(InvalidPlan):
+        FailureEvent(**fields)
+
+
 def test_rejoining_nodes_not_supported():
     with pytest.raises(TypeError):
         FailureEvent(node_id=1, tick=2, permanent=False)

@@ -93,6 +93,18 @@ def test_both_stores_define_the_same_public_names():
     assert len(public(MemoryStore)) == 14
 
 
+def test_both_stores_run_the_one_store_logic():
+    # a public method defined on one backend alone forks the store again;
+    # a backend defines only its kind, __init__ and byte primitives
+    from minimapred.dfs import DiskStore, MemoryStore, _Store
+
+    for cls in (MemoryStore, DiskStore):
+        forked = [n for n in vars(cls) if not n.startswith("_") and n != "kind"
+                  and vars(cls)[n] is not vars(_Store).get(n)]
+        assert forked == [], cls.__name__
+        assert isinstance(vars(cls)["kind"], str)
+
+
 def test_every_built_in_mapper_has_its_split_form():
     # a built-in job left on registry.per_record runs a Python call per record
     from minimapred import jobs
