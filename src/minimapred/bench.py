@@ -18,10 +18,11 @@ import statistics
 import tempfile
 import time
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from .dfs import Cluster, ClusterConfig
 from .errors import InvalidConfig, JobFailed, ReportError, require_ints
-from .jobs import job_spec, uservisits_lines
+from .jobs import job_spec, uservisits_batches
 from .jobtypes import RunOptions
 from .master import submit_job
 
@@ -38,18 +39,18 @@ FULL_SIZES = (350 * 10**6, 10**9, 2 * 10**9)
 TOKENS_PER_LINE = 12
 
 
-def token_lines(size_bytes: int, vocab_size: int = 10_000, seed: int = 42) -> bytes:
-    """Pseudo-random token stream of roughly ``size_bytes`` (within one
-    token of the target); lines stay far below 4096 bytes."""
+def token_pieces(size_bytes: int, vocab_size: int = 10_000, seed: int = 42) -> Iterator[bytes]:
+    """``token_lines`` in pieces of whole lines, one per batch of 1024
+    lines drawn, and the finishing line."""
     if size_bytes <= 0:
-        return b""
+        return
     rng = random.Random(seed)
     vocab = [f"tok{i:05d}" for i in range(max(1, vocab_size))]
-    out = []
     total = 0
     done = False
     while not done:
         words = rng.choices(vocab, k=TOKENS_PER_LINE * 1024)
+        out = []
         for j in range(0, len(words), TOKENS_PER_LINE):
             line = " ".join(words[j : j + TOKENS_PER_LINE]) + "\n"
             if total + len(line) > size_bytes:
@@ -57,6 +58,8 @@ def token_lines(size_bytes: int, vocab_size: int = 10_000, seed: int = 42) -> by
                 break
             out.append(line)
             total += len(line)
+        if out:
+            yield "".join(out).encode()
     # finish token by token so the overshoot is at most one token
     tail = []
     while total < size_bytes:
@@ -64,15 +67,26 @@ def token_lines(size_bytes: int, vocab_size: int = 10_000, seed: int = 42) -> by
         tail.append(token)
         total += len(token) + 1
     if tail:
-        out.append(" ".join(tail) + "\n")
-    return "".join(out).encode()
+        yield (" ".join(tail) + "\n").encode()
+
+
+def token_lines(size_bytes: int, vocab_size: int = 10_000, seed: int = 42) -> bytes:
+    """Pseudo-random token stream of roughly ``size_bytes`` (within one
+    token of the target); lines stay far below 4096 bytes."""
+    return b"".join(token_pieces(size_bytes, vocab_size, seed))
+
+
+def input_pieces(job_id: str, size_bytes: int, seed: int) -> Iterator[bytes]:
+    """The job's benchmark input of about ``size_bytes``, in pieces of
+    about 100 KB, so no caller needs the whole input at once."""
+    if job_id == "uservisits":
+        # rows average 89.5 bytes, measured over seeds 1, 7 and 42
+        return uservisits_batches(max(1, size_bytes // 90), seed)
+    return token_pieces(size_bytes, seed=seed)
 
 
 def input_bytes(job_id: str, size_bytes: int, seed: int) -> bytes:
-    if job_id == "uservisits":
-        # rows average 89.5 bytes, measured over seeds 1, 7 and 42
-        return uservisits_lines(max(1, size_bytes // 90), seed)
-    return token_lines(size_bytes, seed=seed)
+    return b"".join(input_pieces(job_id, size_bytes, seed))
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +177,7 @@ def run_matrix(
                                      ignore_cleanup_errors=True) as root:
         cluster = Cluster.open_disk(root, matrix.cluster_config())
         map_tasks = {size: len(cluster.put_file(
-            f"bench/input-{size}", input_bytes(matrix.job_id, size, matrix.seed)).chunks)
+            f"bench/input-{size}", input_pieces(matrix.job_id, size, matrix.seed)).chunks)
             for size in dict.fromkeys(matrix.sizes)}
         rows = []
         for rep in range(matrix.repetitions):

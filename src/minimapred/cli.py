@@ -14,7 +14,7 @@ import sys
 import uuid
 
 from . import bench
-from .dfs import Cluster, ClusterConfig
+from .dfs import Cluster, ClusterConfig, atomic_write
 from .errors import JobFailed, MiniMapRedError, NotFound, ReportError
 from .fault import FailurePlan
 from .jobs import JOBS, job_spec
@@ -121,31 +121,38 @@ def build_parser() -> argparse.ArgumentParser:
 # ---------------------------------------------------------------------------
 
 
+def _reads(f, size: int):
+    """The file ``f`` in reads of up to ``size`` bytes into one buffer, which
+    each read refills; ``put_file`` is done with a piece when it asks for
+    the next one."""
+    buf = bytearray(size)
+    while n := f.readinto(buf):
+        yield memoryview(buf)[:n]
+
+
 def cmd_dfs(args) -> int:
     root = _store_root(args)
     if args.dfs_command == "put":
         with open(args.local_file, "rb") as f:  # first, so a bad path makes no store
-            data = f.read()
-        # flags left out keep an existing store's config; open_disk rejects
-        # flags that contradict it
-        try:
-            config = Cluster.open_disk(root).config
-        except NotFound:
-            config = ClusterConfig()
-        cluster = Cluster.open_disk(root, dataclasses.replace(config, **_given(
-            num_nodes=args.nodes, chunk_size=args.chunk_size,
-            replication=args.replication, seed=args.seed)))
-        meta = cluster.put_file(args.dfs_path, data)
+            # flags left out keep an existing store's config; open_disk rejects
+            # flags that contradict it
+            try:
+                config = Cluster.open_disk(root).config
+            except NotFound:
+                config = ClusterConfig()
+            cluster = Cluster.open_disk(root, dataclasses.replace(config, **_given(
+                num_nodes=args.nodes, chunk_size=args.chunk_size,
+                replication=args.replication, seed=args.seed)))
+            meta = cluster.put_file(args.dfs_path, _reads(f, cluster.config.chunk_size))
         print(f"stored {meta.path} ({meta.size} bytes, {len(meta.chunks)} chunks)")
         return 0
     cluster = Cluster.open_disk(root)
     if args.dfs_command in ("get", "cat"):
-        data = cluster.get_file(args.dfs_path)
+        chunks = cluster.iter_file(args.dfs_path)
         if args.output:
-            with open(args.output, "wb") as f:
-                f.write(data)
+            atomic_write(args.output, chunks)
         else:
-            sys.stdout.buffer.write(data)
+            sys.stdout.buffer.writelines(chunks)
     elif args.dfs_command == "ls":
         for meta in cluster.list_files(args.prefix):
             print(f"{meta.path}\tsize={meta.size}\tchunks={len(meta.chunks)}")

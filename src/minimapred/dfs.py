@@ -150,6 +150,62 @@ def file_id_for(path: str) -> str:
     return hashlib.sha256(path.encode("utf-8")).hexdigest()[:16]
 
 
+def _cut(data, size: int) -> Iterator[memoryview]:
+    """``data`` in read-only byte views of ``size`` bytes, the last one
+    shorter and none empty. Bytes-like ``data`` is cut without a copy. Any
+    other ``data`` is an iterable of bytes-like pieces: a chunk that lies
+    inside one piece is a view of it, and one that spans pieces is gathered
+    in a single ``size``-byte buffer, which the next chunk reuses."""
+    try:
+        whole = memoryview(data).cast("B").toreadonly()
+    except TypeError:
+        yield from _cut_pieces(data, size)
+        return
+    for i in range(0, len(whole), size):
+        yield whole[i : i + size]
+
+
+def _cut_pieces(pieces: Iterable, size: int) -> Iterator[memoryview]:
+    buf = None  # made when a piece ends inside a chunk, and never resized
+    held = 0
+    for piece in pieces:
+        view = memoryview(piece).cast("B").toreadonly()
+        pos = 0
+        if held:
+            pos = min(size - held, len(view))
+            buf[held : held + pos] = view[:pos]
+            held += pos
+            if held < size:
+                continue
+            yield memoryview(buf).toreadonly()
+            held = 0
+        while len(view) - pos >= size:
+            yield view[pos : pos + size]
+            pos += size
+        held = len(view) - pos
+        if held:
+            if buf is None:
+                buf = bytearray(size)
+            buf[:held] = view[pos:]
+    if held:
+        yield memoryview(buf)[:held].toreadonly()
+
+
+def atomic_write(path: str, pieces: Iterable) -> None:
+    """Write the bytes-like ``pieces`` to a temp file beside ``path`` and
+    publish it there by rename. A failure removes the temp file before the
+    error propagates, so ``path`` is left as it was."""
+    tmp = f"{path}.tmp{uuid.uuid4().hex}"  # unique per writer, not per process
+    try:
+        with open(tmp, "wb") as f:
+            f.writelines(pieces)  # drops each piece before it asks for the next
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
+
+
 # ---------------------------------------------------------------------------
 # Backing stores
 
@@ -171,12 +227,13 @@ class _Store:
     death. The store still serves a dead node's bytes; ``Cluster`` and
     ``shuffle_fetch`` check the marker before reading.
 
-    A backend implements ``_put(key, data)``, which publishes the bytes
-    whole; ``_get(key, lo=0, hi=None)``, bytes [lo, hi) of an object, and
-    ``_open(key)``, a binary reader of it, both raising FileNotFoundError
-    for a missing key; ``_exists(key)``; ``_delete(key)``, a no-op for a
-    missing key; ``_names(prefix)``, the names of the objects under the
-    directory ``prefix``; and ``_delete_tree(prefix)``.
+    A backend implements ``_put(key, data)``, which publishes the
+    bytes-like ``data`` whole; ``_get(key, lo=0, hi=None)``, bytes
+    [lo, hi) of an object, and ``_open(key)``, a binary reader of it, both
+    raising FileNotFoundError for a missing key; ``_exists(key)``;
+    ``_delete(key)``, a no-op for a missing key; ``_names(prefix)``, the
+    names of the objects under the directory ``prefix``; and
+    ``_delete_tree(prefix)``.
     """
 
     num_nodes: int  # every catalog replica is below it
@@ -198,7 +255,8 @@ class _Store:
         return self._exists(f"node{node}/DEAD")
 
     # chunk replicas
-    def write_chunk(self, node: int, file_id: str, index: int, data: bytes) -> None:
+    def write_chunk(self, node: int, file_id: str, index: int, data) -> None:
+        """Store the bytes-like ``data`` as the chunk's replica on ``node``."""
         self._put(f"node{node}/{file_id}.{index}", data)
 
     def read_chunk(self, node: int, file_id: str, index: int,
@@ -263,25 +321,32 @@ class _Store:
 
 class MemoryStore(_Store):
     """In-process store over one dict; usable only with serial/thread
-    execution. A full-range ``read_chunk`` returns the stored object, not a
-    copy."""
+    execution. A view of an immutable ``bytes`` object is stored as it is,
+    so ``put_file`` of a ``bytes`` file keeps no second copy of it; any
+    other bytes-like object is copied once, so a caller may change its
+    ``bytearray`` afterwards. Reads return ``bytes``: a stored view's range
+    is copied, and a full-range ``read_chunk`` of a stored ``bytes`` object
+    returns that object."""
 
     kind = "memory"
 
     def __init__(self, num_nodes: int):
         self.num_nodes = num_nodes
-        self._objects: dict[str, bytes] = {}
+        self._objects: dict[str, bytes | memoryview] = {}
         self._lock = threading.Lock()
 
-    def _put(self, key: str, data: bytes) -> None:
+    def _put(self, key: str, data) -> None:
+        if not (isinstance(data, memoryview) and type(data.obj) is bytes):
+            data = bytes(data)  # no copy of a bytes object
         with self._lock:
-            self._objects[key] = bytes(data)  # no copy of a bytes object
+            self._objects[key] = data
 
     def _get(self, key: str, lo: int = 0, hi: int | None = None) -> bytes:
         try:
-            return self._objects[key][lo:hi]
+            data = self._objects[key][lo:hi]
         except KeyError:
             raise FileNotFoundError(key) from None
+        return data if type(data) is bytes else data.tobytes()
 
     def _open(self, key: str) -> io.BytesIO:
         return io.BytesIO(self._get(key))
@@ -314,20 +379,12 @@ class DiskStore(_Store):
         self.num_nodes = num_nodes
         os.makedirs(os.path.join(self.root, "meta"), exist_ok=True)
 
-    def _put(self, key: str, data: bytes) -> None:
-        """Publish ``data`` at ``key`` by rename; makes its directory. A
-        write that fails removes its temp file before the error propagates."""
+    def _put(self, key: str, data) -> None:
+        """Publish the bytes-like ``data`` at ``key`` by ``atomic_write``;
+        makes its directory."""
         path = os.path.join(self.root, key)
         os.makedirs(os.path.dirname(path), exist_ok=True)
-        tmp = f"{path}.tmp{uuid.uuid4().hex}"  # unique per writer, not per process
-        try:
-            with open(tmp, "wb") as f:
-                f.write(data)
-            os.replace(tmp, path)
-        except BaseException:
-            with contextlib.suppress(OSError):
-                os.remove(tmp)
-            raise
+        atomic_write(path, (data,))
 
     def _get(self, key: str, lo: int = 0, hi: int | None = None) -> bytes:
         with open(os.path.join(self.root, key), "rb") as f:
@@ -418,10 +475,18 @@ class Cluster:
 
     # -- file operations ---------------------------------------------------
 
-    def put_file(self, path: str, data: bytes, overwrite: bool = False) -> FileMeta:
-        """Store ``data`` under ``path`` as replicated equal-sized chunks; an
-        overwrite writes fresh chunk ids and deletes the old entry's replicas
-        after its ``put_meta``, so a failure leaves the old file whole."""
+    def put_file(self, path: str, data, overwrite: bool = False) -> FileMeta:
+        """Store ``data`` under ``path`` as replicated equal-sized chunks.
+
+        ``data`` is bytes-like, cut into chunks without a copy, or an
+        iterable of bytes-like pieces, of which at most one chunk is held;
+        either form of the same bytes stores the same chunks and entry. A
+        piece is not used after the next one is asked for, so the iterable
+        may refill one buffer. An
+        overwrite writes fresh chunk ids and deletes the old entry's
+        replicas after its ``put_meta``. A put that fails before its
+        ``put_meta`` deletes the replicas it wrote (a killed process leaves
+        them as orphans), so an old file stays whole."""
         old = self.store.get_meta(path)
         if old is not None and not overwrite:
             raise AlreadyExists(f"path {path!r} is already stored")
@@ -431,20 +496,25 @@ class Cluster:
         fid = file_id_for(path)
         cid = fid if old is None else f"{fid}-{uuid.uuid4().hex[:8]}"
         h = placement_hash(self.config.seed, path)
-        n_chunks = (len(data) + cs - 1) // cs
-        chunks = []
-        for i in range(n_chunks):
-            if not live:
-                raise ChunkUnavailable(i, path)
-            replication = min(self.config.replication, len(live))
-            start = (h + i) % len(live)
-            replicas = tuple(live[(start + j) % len(live)] for j in range(replication))
-            piece = data[i * cs : (i + 1) * cs]
-            for node in replicas:
-                self.store.write_chunk(node, cid, i, piece)
-            chunks.append(Chunk(cid, i, i * cs, len(piece), replicas))
-        meta = FileMeta(path, fid, len(data), tuple(chunks))
-        self.store.put_meta(meta)
+        chunks = []  # each listed before its replicas are written
+        try:
+            for i, piece in enumerate(_cut(data, cs)):
+                if not live:
+                    raise ChunkUnavailable(i, path)
+                replication = min(self.config.replication, len(live))
+                start = (h + i) % len(live)
+                replicas = tuple(live[(start + j) % len(live)] for j in range(replication))
+                chunks.append(Chunk(cid, i, i * cs, len(piece), replicas))
+                for node in replicas:
+                    self.store.write_chunk(node, cid, i, piece)
+            meta = FileMeta(path, fid, sum(c.length for c in chunks), tuple(chunks))
+            self.store.put_meta(meta)
+        except BaseException:
+            for c in chunks:
+                for node in c.replicas:
+                    with contextlib.suppress(OSError):
+                        self.store.delete_chunk(node, cid, c.index)
+            raise
         for c in old.chunks if old is not None else ():
             for node in c.replicas:
                 self.store.delete_chunk(node, c.file_id, c.index)
@@ -465,10 +535,15 @@ class Cluster:
     def list_files(self, prefix: str = "") -> list[FileMeta]:
         return [m for m in self.store.list_metas() if m.path.startswith(prefix)]
 
-    def get_file(self, path: str) -> bytes:
-        """Reassemble the file from any live replica of each chunk."""
+    def iter_file(self, path: str) -> Iterator[bytes]:
+        """The file's chunks in order, each read whole from a live replica
+        when it is reached; the file's entry is read at the call."""
         meta = self.meta(path)
-        return self.read_range(meta, 0, meta.size)
+        return (self.read_range(meta, c.offset, c.offset + c.length) for c in meta.chunks)
+
+    def get_file(self, path: str) -> bytes:
+        """The whole file, joined from ``iter_file``."""
+        return b"".join(self.iter_file(path))
 
     def read_range(self, meta: FileMeta, start: int, end: int) -> bytes:
         """Bytes of ``meta``'s file in [start, end), clamped to file size,

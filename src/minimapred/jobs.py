@@ -162,22 +162,28 @@ _AGENTS = tuple(f"Mozilla/5.0 (agent-{i:02d})" for i in range(20))
 _WORDS = tuple(f"keyword{i:03d}" for i in range(50))
 
 
-def uservisits_lines(rows: int, seed: int) -> bytes:
-    """Deterministic pipe-delimited visit rows, one per line."""
+def uservisits_batches(rows: int, seed: int) -> Iterator[bytes]:
+    """``uservisits_lines`` in pieces of up to 1024 rows."""
     import random
 
     rng = random.Random(seed)
     pool = [f"10.{i // 256}.{i % 256}.{rng.randrange(256)}" for i in range(_IP_POOL_SIZE)]
-    out = []
-    for i in range(rows):
-        ip = pool[rng.randrange(_IP_POOL_SIZE)]
-        dest = f"dest-{rng.randrange(500):03d}.example.com/page-{rng.randrange(10000):04d}"
-        revenue = rng.randrange(0, 50000) / 100.0
-        agent = _AGENTS[rng.randrange(len(_AGENTS))]
-        word = _WORDS[rng.randrange(len(_WORDS))]
-        duration = rng.randrange(0, 36000)
-        out.append(f"{ip}|{dest}|{revenue:.2f}|{agent}|{word}|{duration}\n")
-    return "".join(out).encode()
+    for first in range(0, rows, 1024):
+        out = []
+        for _ in range(min(rows - first, 1024)):
+            ip = pool[rng.randrange(_IP_POOL_SIZE)]
+            dest = f"dest-{rng.randrange(500):03d}.example.com/page-{rng.randrange(10000):04d}"
+            revenue = rng.randrange(0, 50000) / 100.0
+            agent = _AGENTS[rng.randrange(len(_AGENTS))]
+            word = _WORDS[rng.randrange(len(_WORDS))]
+            duration = rng.randrange(0, 36000)
+            out.append(f"{ip}|{dest}|{revenue:.2f}|{agent}|{word}|{duration}\n")
+        yield "".join(out).encode()
+
+
+def uservisits_lines(rows: int, seed: int) -> bytes:
+    """Deterministic pipe-delimited visit rows, one per line."""
+    return b"".join(uservisits_batches(rows, seed))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Benchmark harness: input generation, matrix runs, ratio reports."""
 
+import hashlib
 from dataclasses import replace
 from pathlib import Path
 
@@ -55,6 +56,33 @@ def test_token_lines_bounded_line_length():
 def test_uservisits_input_near_requested_size(seed):
     for size in (1 << 20, 4 << 20):
         assert abs(len(bench.input_bytes("uservisits", size, seed)) / size - 1) <= 0.02
+
+
+# sha256 prefixes of input_bytes as it was when it built each input whole;
+# 150,000 bytes is past one generator batch of either job (1024 lines)
+_INPUT_DIGESTS = {
+    ("wordcount", 0, 1): "e3b0c44298fc1c149afbf4c8996fb924",
+    ("wordcount", 90, 1): "ea5ac3f5f6f9f2c8b8c0ccecb83a8e1e",
+    ("wordcount", 90, 42): "b1a6b215fa98b4e8ce109c6da601bc5d",
+    ("wordcount", 150000, 1): "b8cb49ad83ac888525e8b289ef79e6fe",
+    ("wordcount", 150000, 42): "f91a84e1b066c9543a778469b9cbc9d6",
+    ("wordcount", 400000, 1): "b09d13dcbc338ebc5c3e3f4e98dac99a",
+    ("uservisits", 0, 1): "8c1d78a345f4b237f34550f5302f06bc",
+    ("uservisits", 0, 42): "9855480267ed04ed1218c4bfd68f28ac",
+    ("uservisits", 90, 1): "8c1d78a345f4b237f34550f5302f06bc",
+    ("uservisits", 150000, 1): "b9c346a73422c64f30e5027ae4d64166",
+    ("uservisits", 150000, 42): "93e46af2ef0ee4391334b86138c10f6a",
+    ("uservisits", 400000, 42): "5857249efd98c1092b1cfba2c37beba4",
+}
+
+
+@pytest.mark.parametrize("job, size, seed", sorted(_INPUT_DIGESTS))
+def test_input_pieces_join_to_the_whole_input(job, size, seed):
+    pieces = list(bench.input_pieces(job, size, seed))
+    joined = b"".join(pieces)
+    assert hashlib.sha256(joined).hexdigest()[:32] == _INPUT_DIGESTS[job, size, seed]
+    assert bench.input_bytes(job, size, seed) == joined
+    assert (len(pieces) > 1) == (size >= 150_000)
 
 
 def test_generate_tokens_into_dfs(small_cluster):
@@ -131,12 +159,12 @@ def test_matrix_repeated_size_gets_a_row_per_entry(tmp_path):
 
 
 def test_matrix_store_removed_when_input_generation_raises(monkeypatch, tmp_path):
-    def input_bytes(job, size, seed):
-        if size == 8192:
+    def input_pieces(job, size, seed):
+        yield token_lines(size, seed=seed)
+        if size == 8192:  # after the piece has been stored
             raise RuntimeError("synthetic generator failure")
-        return token_lines(size, seed=seed)
 
-    monkeypatch.setattr(bench, "input_bytes", input_bytes)
+    monkeypatch.setattr(bench, "input_pieces", input_pieces)
     with pytest.raises(RuntimeError, match="synthetic"):
         run_matrix(tiny_matrix(sizes=(4096, 8192)), store_parent=str(tmp_path))
     assert list(tmp_path.iterdir()) == []

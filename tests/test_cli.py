@@ -4,11 +4,12 @@ import json
 
 import pytest
 
-from minimapred import ReportError, bench, cli
+from minimapred import Cluster, ClusterConfig, ReportError, bench, cli
 from minimapred.cli import main
 from minimapred.dfs import DiskStore, file_id_for
 
 import oracles
+from test_dfs import _peak_bytes
 from test_engine import random_tokens
 
 
@@ -39,6 +40,46 @@ def test_get_writes_local_file(tmp_path, capsys):
     dest = tmp_path / "back.bin"
     assert run_cli("dfs", "get", "a", "--output", str(dest)) == 0
     assert dest.read_bytes() == bytes(range(200))
+
+
+@pytest.mark.parametrize("size", [4500, 0], ids=["five-chunks", "empty"])
+def test_put_then_get_roundtrips_in_chunk_size_pieces(tmp_path, capsysbinary, size):
+    data = bytes(i * 7 % 256 for i in range(size))
+    src = tmp_path / "src.bin"
+    src.write_bytes(data)
+    assert run_cli("dfs", "put", str(src), "d", "--chunk-size", "1000") == 0
+    assert capsysbinary.readouterr().out == (
+        f"stored d ({size} bytes, {-(-size // 1000)} chunks)\n".encode())
+    assert run_cli("dfs", "get", "d", "--output", str(tmp_path / "back.bin")) == 0
+    assert (tmp_path / "back.bin").read_bytes() == data
+    assert run_cli("dfs", "cat", "d") == 0
+    assert capsysbinary.readouterr().out == data
+
+
+@pytest.mark.parametrize("n_chunks", [8, 32])
+def test_put_reads_into_one_chunk_buffer(tmp_path, n_chunks):
+    chunk = 64 * 1024
+    src = tmp_path / "src.bin"
+    src.write_bytes(bytes(range(256)) * (n_chunks * chunk // 256))
+    c = Cluster.open_disk(str(tmp_path / "s"), ClusterConfig(chunk_size=chunk))
+    with open(src, "rb") as f:
+        assert _peak_bytes(lambda: c.put_file("d", cli._reads(f, chunk))) < 2 * chunk
+    assert c.get_file("d") == src.read_bytes()
+
+
+def test_get_output_of_an_unavailable_chunk_exits_2_and_writes_nothing(tmp_path, capsys):
+    src = tmp_path / "src.bin"
+    src.write_bytes(b"x" * 2500)
+    assert run_cli("dfs", "put", str(src), "d", "--chunk-size", "1000") == 0
+    cluster = Cluster.open_disk(str(tmp_path / "minimapred_store"))
+    for node in cluster.meta("d").chunks[1].replicas:  # chunk 0 is still written
+        cluster.mark_node_dead(node)
+    out = tmp_path / "out" / "back.bin"
+    out.parent.mkdir()
+    capsys.readouterr()
+    assert run_cli("dfs", "get", "d", "--output", str(out)) == 2
+    assert "chunk 1" in capsys.readouterr().err
+    assert list(out.parent.iterdir()) == []
 
 
 def test_ls_reports_three_chunks(tmp_path, capsys):

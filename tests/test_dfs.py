@@ -6,6 +6,7 @@ import itertools
 import json
 import os
 import tempfile
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -504,8 +505,8 @@ def test_failed_overwrite_leaves_the_old_file_whole(kind, tmp_path):
     with pytest.raises(OSError, match="disk full"):
         c.put_file("f", b"xxxxyyyyzzzz", overwrite=True)
     assert c.get_file("f") == b"aaaabbbbcccc"
-    # the overwrite's partial chunks are unlisted orphans, left for a sweep
-    assert _missing_replicas(c) == []
+    # the failed overwrite deleted the chunks it had written
+    assert oracles.store_problems(c) == []
 
 
 @pytest.mark.parametrize("kind", ["memory", "disk"])
@@ -592,7 +593,6 @@ def test_every_step_keeps_last_puts_readable_and_listed_replicas_stored(kind, st
         c = _store_cluster(kind, os.path.join(tmp, "s"), chunk_size=8, replication=3)
         write_chunk = c.store.write_chunk
         files: dict[str, bytes] = {}
-        failed = False
         for op, i, data, n in steps:
             path = f"p{i}"
             if op == "death":
@@ -611,16 +611,134 @@ def test_every_step_keeps_last_puts_readable_and_listed_replicas_stored(kind, st
                 with pytest.raises(OSError, match="disk full"):
                     c.put_file(path, data, overwrite=True)
                 c.store.write_chunk = write_chunk
-                failed = True
             else:
                 c.put_file(path, data, overwrite=op != "put")
                 files[path] = data
             for p, expected in files.items():
                 assert c.get_file(p) == expected
-            problems = oracles.store_problems(c)
-            if failed:  # a failed overwrite's partial chunks stay as orphans
-                problems = [p for p in problems if p[0] == "missing"]
-            assert problems == []
+            assert oracles.store_problems(c) == []
+
+
+# ---------------------------------------------------------------------------
+# put from pieces, streamed get
+
+
+@pytest.mark.parametrize("kind", ["memory", "disk"])
+def test_failed_piece_iterator_deletes_the_chunks_it_wrote(kind, tmp_path):
+    c = _store_cluster(kind, tmp_path / "s")
+    c.put_file("old", b"aaaabbbb")
+
+    def pieces():
+        yield b"xxxxy"
+        yield b"yyy"  # two whole chunks are written by now
+        raise RuntimeError("source failed")
+
+    for path in ("new", "old"):
+        with pytest.raises(RuntimeError, match="source failed"):
+            c.put_file(path, pieces(), overwrite=True)
+    assert [m.path for m in c.list_files()] == ["old"]
+    assert c.get_file("old") == b"aaaabbbb"
+    assert oracles.store_problems(c) == []
+
+
+_INPUT_TYPES = ("bytes", "bytearray", "memoryview", "pieces", "one refilled buffer")
+
+
+def _through_one_buffer(pieces):
+    """The pieces, each as a view of one buffer that the next one refills."""
+    buf = bytearray(max(map(len, pieces), default=0))
+    for piece in pieces:
+        buf[:] = bytes(len(buf))
+        buf[:len(piece)] = piece
+        yield memoryview(buf)[:len(piece)]
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(kind=st.sampled_from(["memory", "disk"]), data=st.binary(max_size=120),
+       chunk=st.integers(1, 50), cuts=st.lists(st.integers(0, 120), max_size=6),
+       input_type=st.sampled_from(_INPUT_TYPES), mutable_pieces=st.booleans())
+def test_every_input_form_stores_what_a_bytes_put_stores(
+        kind, data, chunk, cuts, input_type, mutable_pieces):
+    with tempfile.TemporaryDirectory() as tmp:
+        want = _store_cluster(kind, os.path.join(tmp, "a"), chunk_size=chunk)
+        want_meta = want.put_file("f", data)
+        c = _store_cluster(kind, os.path.join(tmp, "b"), chunk_size=chunk)
+        # cut points at or past the end, and repeated ones, give empty pieces
+        bounds = [0, *sorted(min(x, len(data)) for x in cuts), len(data)]
+        pieces = [bytearray(data[a:b]) if mutable_pieces else data[a:b]
+                  for a, b in zip(bounds, bounds[1:])]
+        given_data = {"bytes": data, "bytearray": bytearray(data),
+                      "memoryview": memoryview(bytearray(data) if mutable_pieces else data),
+                      "pieces": iter(pieces),
+                      "one refilled buffer": _through_one_buffer(pieces)}[input_type]
+        meta = c.put_file("f", given_data)
+        for held in (given_data, *pieces):  # what the caller holds may change
+            if isinstance(held, (bytearray, memoryview)) and not memoryview(held).readonly:
+                held[:] = bytes(len(held))
+        assert meta.to_json() == want_meta.to_json()
+        for ch in meta.chunks:
+            for node in ch.replicas:
+                assert c.store.read_chunk(node, ch.file_id, ch.index) == (
+                    data[ch.offset:ch.offset + ch.length])
+        assert c.get_file("f") == data
+
+
+def test_memory_store_keeps_a_view_of_bytes_and_copies_a_bytearray():
+    store = MemoryStore(2)
+    data = b"abcdef"
+    store.write_chunk(0, "v", 0, memoryview(data)[2:5])
+    store.write_chunk(0, "w", 0, data)
+    store.write_chunk(0, "m", 0, bytearray(data))
+    assert store._objects["node0/v.0"].obj is data  # no copy of the caller's bytes
+    assert store.read_chunk(0, "v", 0) == b"cde"
+    assert store.read_chunk(0, "v", 0, 1, 2) == b"d"
+    assert type(store.read_chunk(0, "v", 0)) is bytes
+    assert store.read_chunk(0, "w", 0) is data
+    assert type(store._objects["node0/m.0"]) is bytes
+
+
+def _peak_bytes(fn) -> int:
+    """The tracemalloc peak above the level at the call, while ``fn`` runs."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+_CHUNK = 64 * 1024
+
+
+def _disk_cluster(root):
+    return Cluster.open_disk(str(root), ClusterConfig(num_nodes=4, chunk_size=_CHUNK,
+                                                      replication=2, seed=7))
+
+
+def test_put_of_bytes_copies_no_chunk(tmp_path):
+    c = _disk_cluster(tmp_path / "s")
+    data = os.urandom(8 * _CHUNK)
+    assert _peak_bytes(lambda: c.put_file("f", data)) < _CHUNK
+    assert c.get_file("f") == data
+
+
+@pytest.mark.parametrize("n_chunks", [8, 32])
+def test_put_from_pieces_and_streamed_get_hold_under_two_chunks(n_chunks, tmp_path):
+    c = _disk_cluster(tmp_path / "s")
+    piece = _CHUNK // 3 + 7
+    n_pieces = n_chunks * _CHUNK // piece
+
+    def pieces():  # each piece is made as it is asked for
+        for i in range(n_pieces):
+            yield bytes([i % 251]) * piece
+
+    assert _peak_bytes(lambda: c.put_file("f", pieces())) < 2 * _CHUNK
+    out = str(tmp_path / "out")  # as dfs get --output writes it
+    assert _peak_bytes(lambda: dfs.atomic_write(out, c.iter_file("f"))) < 2 * _CHUNK
+    with open(out, "rb") as f:
+        assert f.read() == b"".join(pieces())
 
 
 # ---------------------------------------------------------------------------
