@@ -83,7 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", required=True, help="DFS output directory")
     p.add_argument("--reducers", type=int, default=2)
     p.add_argument("--workers", type=int, default=None,
-                   help="worker count (default: one per node)")
+                   help="worker count (default: one per live node)")
     p.add_argument("--executor", choices=["serial", "threads", "processes"])
     p.add_argument("--fail", action="append", default=[], metavar="SPEC",
                    help="kill a node: <node>:<tick> or <node>:after:<task-id>"

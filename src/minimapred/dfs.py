@@ -370,7 +370,9 @@ class MemoryStore(_Store):
 class DiskStore(_Store):
     """On-disk store: the object at key ``k`` is the file ``<root>/k``,
     published whole by rename, so every handle sees the same objects,
-    including the handles of concurrently running worker processes."""
+    including the handles of concurrently running worker processes. A
+    killed process never exposes a torn file, but nothing is fsynced, so a
+    power cut or an OS crash may leave a renamed file empty or short."""
 
     kind = "disk"
 

@@ -3,8 +3,8 @@
 Node deaths are scripted, not random: each event kills one node either at a
 logical tick (one tick = one master scheduling round) or right after a named
 task first completes. Death is recorded once, in the store (its dead marker),
-so it lasts for every later job on that store; the master asks the store
-which nodes are dead and never keeps a copy of its own. Recovery follows two
+so it lasts for every later job on that store; the master reads the markers
+once per job and writes a kill's marker as it happens. Recovery follows two
 rules: map results live on the node that produced them, so a dead node
 invalidates even *completed* map tasks; reduce results live in the
 replicated DFS, so completed reduce tasks are never re-executed.

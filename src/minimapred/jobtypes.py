@@ -116,7 +116,7 @@ class RunOptions:
     executor runs them, and how many values a map task buffers before it
     spills. None of them changes the part bytes of a job that completes."""
 
-    workers: int | None = None  # default: one worker per node
+    workers: int | None = None  # default: one worker per live node
     executor: str = "threads"  # "serial" | "threads" | "processes"
     # map-side buffered values before a spill, checked after each key group:
     # emitted pairs under per_record, fewer where a split form pre-combines

@@ -1,19 +1,25 @@
-"""Master-side job execution.
+"""Master-side job execution: the job's rules in ``MasterCore``, which
+does no I/O, and ``Master``, the driver that runs them.
 
-One Master instance drives one job: it plans map tasks from the input's
-splits, assigns work to idle live nodes with locality preference, advances a
-logical tick per scheduling round, injects scripted node deaths between
-rounds, and applies the recovery rules when a node dies. Which nodes are
-dead is read from the store's dead marker, the one record of node death,
-so a node killed by an earlier job on the same store gets no work. The
-marker also records that a plan event fired: its node stays dead, so the
-event never fires again. Workers only talk back through TaskResult
-messages; a message whose attempt number no longer matches the task's is
-stale (the task was reverted meanwhile) and is dropped, which is what makes
-re-execution safe under any interleaving.
-The accepted message stays on its task as the one record of its outcome
-until a revert clears it; shuffle sources and the skip count read it.
-Attempt and re-execution counts are read from the event log.
+The core plans map tasks from the input's splits, assigns pending tasks to
+idle live workers with locality preference, counts a logical tick per
+scheduling round, fires scripted node deaths and applies the recovery
+rules. Result batches (``step``) and tick advances (``fire`` opens a round,
+``tick += 1`` closes it) go in and return the nodes they killed;
+``dispatch`` returns (task id, attempt, node) triples. A test drives it
+with hand-made ``InputSplit``s and ``TaskResult``s, with no cluster or
+executor. The driver reads every node's dead marker once per job, takes
+the first ``workers`` live nodes as workers, and writes each kill's marker
+as the core returns it, before any further task runs. The marker stays
+the one durable record of a death: a node killed by an earlier job on the
+store gets no work, and its plan event never fires again.
+
+Workers only talk back through TaskResult messages; a message whose attempt
+number no longer matches the task's is stale (the task was reverted
+meanwhile) and is dropped, which is what makes re-execution safe under any
+interleaving. The accepted message stays on its task as the one record of
+its outcome until a revert clears it; shuffle sources and the skip count
+read it. Attempt and re-execution counts are read from the event log.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from . import fault
-from .dfs import Cluster, part_file_path
+from .dfs import Cluster, InputSplit, part_file_path
 from .errors import (
     InvalidConfig,
     InvalidPlan,
@@ -82,12 +88,9 @@ class Master:
                     f"associative and commutative"
                 )
 
-        self.state: JobState | None = None
+        # the core's event log and, after a run, its final tick
         self.events: list[dict] = []
         self.tick = 0
-        # nodes with an attempt in flight; a busy node gets no dispatch, so a
-        # node's reply is always its one attempt's and frees it
-        self._busy: set[int] = set()
 
     # -- public ------------------------------------------------------------
 
@@ -98,93 +101,63 @@ class Master:
         except NotFound:
             raise UnknownInput(f"input {self.spec.input_path!r} not in DFS") from None
 
-        splits = self.cluster.make_splits(meta)
-        self.state = JobState(
-            spec=self.spec,
-            map_tasks=plan_map_tasks(splits),
-            reduce_tasks=plan_reduce_tasks(self.spec.num_reducers),
-        )
-        # a misspelt task id would run the job with no failure; a late tick is legal
-        task_ids = {t.task_id for t in self.state.map_tasks + self.state.reduce_tasks}
-        unknown = [ev.after_task for ev in self.plan.events
-                   if ev.after_task is not None and ev.after_task not in task_ids]
-        if unknown:
-            raise InvalidPlan(f"failure plan names tasks not in this job: {unknown}")
-        self._advance_phase()
+        nodes = range(self.cluster.config.num_nodes)
+        live = self.cluster.live_nodes()
+        core = MasterCore(self.spec, self.cluster.make_splits(meta), self.plan,
+                          live[:self.workers], set(nodes) - set(live), self.events)
 
         executor = make_executor(self.options.executor, self.workers,
                                  self.cluster.store.kind)
         try:
-            self._loop(executor)
+            self._loop(core, executor)
         except JobFailed as e:
-            self.state.phase = Phase.FAILED
-            report = self._report(started)
+            self._mark_dead(core.kills)  # made by the input that failed the job
+            core.state.phase = Phase.FAILED
+            report = core.report((time.perf_counter() - started) * 1000.0)
             raise JobFailed(str(e), report=report) from None
         finally:
+            self.tick = core.tick
             executor.shutdown()
-            for node in range(self.cluster.config.num_nodes):
+            for node in nodes:
                 self.cluster.store.delete_local_tree(node, f"runs/{self.spec.job_id}")
 
-        report = self._report(started)
-        return RunResult(report, self.state, self.events)
+        report = core.report((time.perf_counter() - started) * 1000.0)
+        return RunResult(report, core.state, self.events)
 
-    # -- scheduling loop ----------------------------------------------------
+    # -- driver loop ---------------------------------------------------------
 
-    def _loop(self, executor) -> None:
+    def _loop(self, core: MasterCore, executor) -> None:
         while True:
-            self._fire(lambda ev: ev.tick is not None and ev.tick <= self.tick)
-            if self._step(executor.poll()):
+            self._mark_dead(core.fire())
+            if self._step(core, executor.poll()):
                 return
-            if not self._dispatch_round(executor):
-                if self._busy:
-                    if self._step(executor.wait()):
-                        return
-                elif self._pending():
-                    raise JobFailed(
-                        f"no live workers can run pending tasks "
-                        f"{[t.task_id for t in self._pending()]}"
-                    )
-            self.tick += 1
+            dispatches = core.dispatch()
+            for task_id, attempt, node in dispatches:
+                self._dispatch(executor, core.state, task_id, attempt, node)
+            if not dispatches and core.busy and self._step(core, executor.wait()):
+                return
+            core.tick += 1
 
-    def _step(self, batch: list[TaskResult]) -> bool:
-        """Handle a batch of results and advance the phase; True once the
-        job is done."""
-        for msg in batch:
-            self._handle(msg)
-        self._advance_phase()
-        return self.state.phase is Phase.DONE
+    def _step(self, core: MasterCore, batch: list[TaskResult]) -> bool:
+        """Feed a batch to the core; True once the job is done."""
+        self._mark_dead(core.step(batch))
+        return core.state.phase is Phase.DONE
 
-    def _pending(self) -> list[TaskDescriptor]:
-        if self.state.phase is Phase.MAPPING:
-            tasks = self.state.map_tasks
-        else:
-            tasks = self.state.reduce_tasks
-        return [t for t in tasks if t.state is TaskState.PENDING]
+    def _mark_dead(self, kills: list[int]) -> None:
+        for node in kills:
+            self.cluster.mark_node_dead(node)
 
-    def _dispatch_round(self, executor) -> int:
-        idle = [
-            n
-            for n in range(self.workers)
-            if n not in self._busy and not self.cluster.is_node_dead(n)
-        ]
-        assignments = schedule(self._pending(), idle)
-        for task, node in assignments:
-            self._dispatch(executor, task, node)
-        return len(assignments)
-
-    def _dispatch(self, executor, task: TaskDescriptor, node: int) -> None:
-        task.state = TaskState.RUNNING
-        task.assigned_node = node
-        self._busy.add(node)
-        self._log("dispatch", task=task.task_id, attempt=task.attempt, node=node)
+    def _dispatch(self, executor, state: JobState, task_id: str, attempt: int,
+                  node: int) -> None:
+        task = state.task(task_id)
         # job_id repeats spec.job_id: perfbench/tracer.py reads it, with
         # task_id and attempt, from the payload inside worker processes
         payload = {
             "cluster": self.cluster,
             "spec": self.spec,
             "job_id": self.spec.job_id,
-            "task_id": task.task_id,
-            "attempt": task.attempt,
+            "task_id": task_id,
+            "attempt": attempt,
             "node": node,
             "kind": task.kind,
         }
@@ -198,16 +171,82 @@ class Master:
             payload.update(
                 partition=partition,
                 sources=[(m.index, m.task_id, m.assigned_node, m.result.runs[partition])
-                         for m in self.state.map_tasks],
+                         for m in state.map_tasks],
             )
         executor.submit(node, payload)
 
-    # -- message handling ---------------------------------------------------
+
+class MasterCore:
+    """One job's rules: results and tick advances in, dispatches and kills
+    out. ``workers`` may run tasks; ``dead`` holds the nodes dead so far,
+    and ``kills`` those killed by an input that has not yet returned."""
+
+    def __init__(self, spec: JobSpec, splits: list[InputSplit], plan: FailurePlan,
+                 workers: list[int], dead: set[int], events: list[dict]):
+        self.state = JobState(spec=spec, map_tasks=plan_map_tasks(splits),
+                              reduce_tasks=plan_reduce_tasks(spec.num_reducers))
+        # a misspelt task id would run the job with no failure; a late tick is legal
+        task_ids = {t.task_id for t in self.state.map_tasks + self.state.reduce_tasks}
+        unknown = [ev.after_task for ev in plan.events
+                   if ev.after_task is not None and ev.after_task not in task_ids]
+        if unknown:
+            raise InvalidPlan(f"failure plan names tasks not in this job: {unknown}")
+        self.plan = plan
+        self.workers = workers
+        self.dead = set(dead)
+        self.events = events
+        self.tick = 0
+        self.kills: list[int] = []
+        # nodes with an attempt in flight; a busy node gets no dispatch, so a
+        # node's reply is always its one attempt's and frees it
+        self.busy: set[int] = set()
+        self._advance_phase()
+
+    # -- inputs --------------------------------------------------------------
+
+    def fire(self) -> list[int]:
+        """Kill the node of every plan event due at this tick."""
+        self._fire(lambda ev: ev.tick is not None and ev.tick <= self.tick)
+        kills, self.kills = self.kills, []
+        return kills
+
+    def step(self, batch: list[TaskResult]) -> list[int]:
+        """Handle a batch of results and advance the phase."""
+        for msg in batch:
+            self._handle(msg)
+        self._advance_phase()
+        kills, self.kills = self.kills, []
+        return kills
+
+    def dispatch(self) -> list[tuple[str, int, int]]:
+        """Give pending tasks to idle live workers in one ``schedule`` call.
+        Raises JobFailed if no task is in flight and none can be placed."""
+        pending = self._pending()
+        idle = [n for n in self.workers if n not in self.busy and n not in self.dead]
+        assignments = schedule(pending, idle)
+        if pending and not assignments and not self.busy:
+            raise JobFailed(f"no live workers can run pending tasks "
+                            f"{[t.task_id for t in pending]}")
+        for task, node in assignments:
+            task.state = TaskState.RUNNING
+            task.assigned_node = node
+            self.busy.add(node)
+            self._log("dispatch", task=task.task_id, attempt=task.attempt, node=node)
+        return [(task.task_id, task.attempt, node) for task, node in assignments]
+
+    # -- rules ---------------------------------------------------------------
+
+    def _pending(self) -> list[TaskDescriptor]:
+        if self.state.phase is Phase.MAPPING:
+            tasks = self.state.map_tasks
+        else:
+            tasks = self.state.reduce_tasks
+        return [t for t in tasks if t.state is TaskState.PENDING]
 
     def _handle(self, msg: TaskResult) -> None:
         if msg.attempt < 0:  # executor-level failure, not tied to a task
             raise JobFailed(f"executor failure: {msg.error}")
-        self._busy.discard(msg.node)
+        self.busy.discard(msg.node)
         task = self.state.task(msg.task_id)
         if msg.shuffle_lost is not None:
             self._log("shuffle_source_lost", reducer=msg.task_id,
@@ -249,10 +288,11 @@ class Master:
                 self._kill(ev.node_id)
 
     def _kill(self, node: int) -> None:
-        if self.cluster.is_node_dead(node):
+        if node in self.dead:
             return
         self._log("node_dead", node=node)
-        self.cluster.mark_node_dead(node)
+        self.dead.add(node)
+        self.kills.append(node)
         summary = fault.recover(self.state, node)
         for task_id in summary.reverted_completed_maps:
             self._log("reexecute_completed_map", task=task_id)
@@ -279,21 +319,19 @@ class Master:
 
     # -- reporting -----------------------------------------------------------
 
-    def _report(self, started: float) -> JobReport:
-        elapsed_ms = (time.perf_counter() - started) * 1000.0
-
+    def report(self, elapsed_ms: float) -> JobReport:
         def logged(event: str, task_prefix: str = "") -> int:
             return sum(e["event"] == event and e["task"].startswith(task_prefix)
                        for e in self.events)
 
         # a completed reduce is never reverted, so its part is final
         parts = [
-            part_file_path(self.spec.output_path, t.payload)
+            part_file_path(self.state.spec.output_path, t.payload)
             for t in self.state.reduce_tasks
             if t.state is TaskState.COMPLETED
         ]
         return JobReport(
-            job_id=self.spec.job_id,
+            job_id=self.state.spec.job_id,
             phase=self.state.phase.value,
             map_attempts=logged("dispatch", "map-"),
             reduce_attempts=logged("dispatch", "reduce-"),

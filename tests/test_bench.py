@@ -1,6 +1,7 @@
 """Benchmark harness: input generation, matrix runs, ratio reports."""
 
 import hashlib
+import os
 from dataclasses import replace
 from pathlib import Path
 
@@ -11,6 +12,7 @@ from minimapred.bench import (
     CSV_COLUMNS,
     BenchMatrix,
     BenchRow,
+    cell_medians,
     emit_plot_data,
     parse_size,
     read_rows_csv,
@@ -398,7 +400,12 @@ def test_more_workers_faster_at_scale(tmp_path):
     rows = run_matrix(matrix, store_parent=str(tmp_path))
     report = speedup_report(rows)
     [entry] = [e for e in report.entries if e.kind == "speedup" and e.workers == 4]
-    assert entry.value > 1.0
+    # another load on the host can erase the gain; say what the host had
+    medians = {w: s for (_, _, w), s in cell_medians(rows).items()}
+    assert entry.value > 1.0, (
+        f"speedup {entry.value:.3f}: median {medians[1]:.3f} s at 1 worker, "
+        f"{medians[4]:.3f} s at 4; usable CPUs {len(os.sched_getaffinity(0))}, "
+        f"load average {os.getloadavg()}")
 
 
 def test_parse_size_units():

@@ -2,6 +2,7 @@
 
 import functools
 import os
+import sys
 import tempfile
 from dataclasses import replace
 
@@ -18,7 +19,6 @@ from minimapred import (
     JobFailed,
     JobSpec,
     JobState,
-    Master,
     Phase,
     RunOptions,
     ShuffleSourceLost,
@@ -30,6 +30,7 @@ from minimapred import (
     submit_job,
 )
 import minimapred.executors as executors
+from minimapred.master import MasterCore
 from minimapred.jobtypes import SPILL_PAIRS, TaskResult
 from minimapred.tasks import run_map_task, shuffle_fetch
 from minimapred.jobs import job_spec, uservisits_lines, wordcount_map
@@ -232,11 +233,11 @@ def test_recover_follows_its_rule_on_any_task_table(map_rows, reduce_rows, phase
 
 
 def _report_from(state, completed):
-    # a master that never ran: _report reads only its spec, state and events
-    master = Master.__new__(Master)
-    master.spec, master.state = state.spec, state
-    master.events = [{"tick": 0, "event": "complete", "task": t} for t in completed]
-    return master._report(0.0)
+    # a core that never ran: its report reads only its state and events
+    core = MasterCore(state.spec, [], FailurePlan(), [], set(), [])
+    core.state = state
+    core.events = [{"tick": 0, "event": "complete", "task": t} for t in completed]
+    return core.report(0.0)
 
 
 def test_report_counts_each_thrown_away_reduce_completion():
@@ -610,3 +611,117 @@ def test_node_dead_in_store_before_the_job_gets_no_work(executor):
     assert res.report.phase == "done"
     assert [c1.get_file(p) for p in res.report.parts] == [
         c0.get_file(p) for p in baseline.report.parts]
+
+
+def test_workers_are_the_first_live_nodes():
+    # node 0 died in an earlier job: the workers are the live nodes after it
+    c = _fresh_cluster()
+    c.put_file("in", random_tokens(31, n=300))
+    c.mark_node_dead(0)
+    for workers, nodes in [(1, {1}), (2, {1, 2})]:
+        res = run_job(c, wc_spec(), RunOptions(executor="serial", workers=workers))
+        assert res.report.phase == "done"
+        assert {e["node"] for e in res.events if e["event"] == "dispatch"} == nodes
+
+
+def test_master_reads_each_dead_marker_once_per_job(monkeypatch):
+    import minimapred.dfs as dfs
+
+    c = _fresh_cluster()
+    c.put_file("in", random_tokens(31, n=300))
+    is_dead, calls = c.store.is_dead, []
+
+    def counted(node):
+        frame = sys._getframe(1)
+        while frame.f_code.co_filename == dfs.__file__:
+            frame = frame.f_back
+        calls.append((os.path.basename(frame.f_code.co_filename), node))
+        return is_dead(node)
+
+    monkeypatch.setattr(c.store, "is_dead", counted)
+    res = run_job(c, wc_spec(), RunOptions(executor="serial"), FailurePlan.parse(["2:1"]))
+    assert res.report.phase == "done"
+    assert res.events[-1]["tick"] >= 3  # several scheduling rounds
+    assert [node for caller, node in calls if caller == "master.py"] == [0, 1, 2, 3]
+
+
+# ---------------------------------------------------------------------------
+# the master's rules alone: no cluster, no store, no executor
+
+
+def _core(plan):
+    """A core over three hand-made splits on workers 0-2; map-i's replicas
+    are nodes i+1 and i+2 (mod 3)."""
+    splits = [InputSplit("f", i, 10 * i, 10 * i + 10, ((i + 1) % 3, (i + 2) % 3))
+              for i in range(3)]
+    spec = JobSpec(job_id="j", input_path="in", output_path="out",
+                   mapper_id="wordcount.map", reducer_id="wordcount.reduce",
+                   num_reducers=2)
+    return MasterCore(spec, splits, FailurePlan.parse(plan), [0, 1, 2], set(), [])
+
+
+def _log(core, start=0):
+    return [" ".join(f"{v}" if k in ("tick", "event") else f"{k}={v}" for k, v in e.items())
+            for e in core.events[start:]]
+
+
+def _map_done(task_id, attempt, node):
+    return TaskResult(task_id, attempt, node, runs=[(f"{task_id}.r0",), (f"{task_id}.r1",)])
+
+
+def test_core_after_task_kill_while_mapping():
+    core = _core(["1:after:map-0"])
+    assert core.fire() == []
+    assert core.dispatch() == [("map-0", 0, 1), ("map-1", 0, 2), ("map-2", 0, 0)]
+    # map-0's completion kills its own node, which held its runs
+    assert core.step([_map_done("map-0", 0, 1)]) == [1]
+    assert core.dead == {1}
+    assert core.dispatch() == []  # nodes 0 and 2 are busy, node 1 is dead
+    assert core.step([_map_done("map-1", 0, 2), _map_done("map-2", 0, 0)]) == []
+    core.tick += 1
+    assert core.fire() == []
+    assert core.dispatch() == [("map-0", 1, 2)]
+    assert _log(core) == [
+        "0 dispatch task=map-0 attempt=0 node=1",
+        "0 dispatch task=map-1 attempt=0 node=2",
+        "0 dispatch task=map-2 attempt=0 node=0",
+        "0 complete task=map-0 attempt=0 node=1",
+        "0 node_dead node=1",
+        "0 reexecute_completed_map task=map-0",
+        "0 complete task=map-1 attempt=0 node=2",
+        "0 complete task=map-2 attempt=0 node=0",
+        "1 dispatch task=map-0 attempt=1 node=2",
+    ]
+    assert core.state.phase is Phase.MAPPING
+
+
+def test_core_reexecutes_the_map_a_reducer_lost():
+    core = _core([])
+    core.dispatch()
+    core.step([_map_done("map-0", 0, 1), _map_done("map-1", 0, 2), _map_done("map-2", 0, 0)])
+    core.tick += 1
+    assert core.dispatch() == [("reduce-0", 0, 0), ("reduce-1", 0, 1)]
+    start = len(core.events)
+    lost = TaskResult("reduce-1", 0, 1, shuffle_lost="map-1",
+                      error="ShuffleSourceLost: map-1")
+    assert core.step([TaskResult("reduce-0", 0, 0), lost]) == []
+    assert _log(core, start) == [
+        "1 complete task=reduce-0 attempt=0 node=0",
+        "1 shuffle_source_lost reducer=reduce-1 map=map-1",
+        "1 reexecute_completed_map task=map-1",
+        "1 phase phase=mapping",
+    ]
+    assert (core.state.task("reduce-1").state, core.state.task("reduce-1").attempt) == (
+        TaskState.PENDING, 1)
+    core.tick += 1
+    assert core.dispatch() == [("map-1", 1, 2)]
+    core.step([_map_done("map-1", 1, 2)])
+    assert core.dispatch() == [("reduce-1", 1, 0)]
+    assert core.dead == set()
+
+
+def test_core_fails_when_no_live_worker_is_left():
+    core = _core(["0:0", "1:0", "2:0"])
+    assert core.fire() == [0, 1, 2]
+    with pytest.raises(JobFailed, match="no live workers"):
+        core.dispatch()

@@ -81,6 +81,19 @@ def test_every_dispatch_payload_key_is_read():
     assert sorted(k for k in keys if k not in read and f'"{k}"' not in tracer) == []
 
 
+def test_master_core_does_no_io():
+    # the core's rules are driven without a store or a pool only while no
+    # method of it reaches for one; the driver, Master, does the I/O
+    with open(os.path.join(SRC, "master.py")) as f:
+        tree = ast.parse(f.read())
+    [core] = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "MasterCore"]
+    names = {n.id for n in ast.walk(core) if isinstance(n, ast.Name)}
+    names |= {n.attr for n in ast.walk(core) if isinstance(n, ast.Attribute)}
+    names |= {a.arg for n in ast.walk(core) if isinstance(n, ast.arguments)
+              for a in n.posonlyargs + n.args + n.kwonlyargs}
+    assert sorted(names & {"cluster", "store", "executor", "time", "make_executor"}) == []
+
+
 def test_both_stores_define_the_same_public_names():
     # the engine and perfbench's tracer call store methods by name on
     # either class, so a name on one store alone breaks the other
